@@ -22,8 +22,9 @@
 // Usage: micro_delta_eval [--quick] [--scale] [rows] [engine_generations]
 //   --quick shrinks every scenario for CI smoke jobs (and skips the hard
 //   speedup gates, which assume benchmark-sized inputs).
-//   --scale adds the 100k- and 1M-row data-plane scenarios (packed +
-//   sharded vs legacy path, bit-exact scores, >= 3x at 1M).
+//   --scale adds the 100k- and 1M-row scenarios (each measure's
+//   single-cell delta vs a forced rebuild of the same state, bit-exact
+//   scores required).
 
 #include <cmath>
 #include <cstdint>
@@ -50,7 +51,6 @@
 #include "metrics/ebil.h"
 #include "metrics/fitness.h"
 #include "metrics/interval_disclosure.h"
-#include "metrics/plane.h"
 #include "metrics/prl.h"
 #include "metrics/rsrl.h"
 #include "protection/pram.h"
@@ -160,18 +160,14 @@ ScaleMeasures() {
 
 struct ScaleResult {
   bench::JsonObject json;
-  /// Aggregate old/new speedup over all seven measures — every measure now
-  /// carries a clustered delta path on the sharded plane (RSRL's landed
-  /// last, so it additionally gets its own gate).
-  double speedup = 0.0;
-  double rsrl_speedup = 0.0;
   double max_abs_diff = 0.0;
 };
 
-/// The scale scenario: the same single-cell mutation walk timed on the
-/// legacy row-oriented plane (the oracle path) and on the packed + sharded
-/// plane, measure by measure. Scores must agree *exactly* (diff == 0) —
-/// the plane is a layout/parallelism change, not a numeric one.
+/// The scale scenario: the same single-cell mutation walk timed on each
+/// measure's incremental path and on a forced rebuild of the same state
+/// (threshold pinned to one cell, so every apply recomputes from scratch).
+/// Scores must agree *exactly* (diff == 0): the rebuild is the state's own
+/// from-scratch build, so any difference is a delta-path bug.
 ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
   auto profile = datagen::AdultProfile();
   profile.num_records = rows;
@@ -183,19 +179,13 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
       protection::Pram(0.5).Protect(original, attrs, &rng).ValueOrDie();
   auto steps = DrawMutations(masked, attrs, num_steps, 0x5CA1E);
 
-  metrics::DataPlaneConfig old_plane;  // legacy row-oriented path
-  metrics::DataPlaneConfig new_plane;
-  new_plane.sharded = true;
-  new_plane.packed = true;
-
-  /// Times apply + score + revert over the walk under the given plane and
-  /// collects the per-step scores.
-  auto run_path = [&](const metrics::Measure& measure,
-                      const metrics::DataPlaneConfig& plane,
+  /// Times apply + score + revert over the walk with the state's rebuild
+  /// threshold pinned to `threshold` cells (0 = the measure's cost model)
+  /// and collects the per-step scores.
+  auto run_path = [&](const metrics::BoundMeasure& bound, int64_t threshold,
                       std::vector<double>* scores) {
-    metrics::SetDataPlane(plane);
-    auto bound = std::move(measure.Bind(original, attrs)).ValueOrDie();
-    auto state = bound->BindState(masked);
+    auto state = bound.BindState(masked);
+    state->set_full_rebuild_threshold(threshold);
     double elapsed = 0.0;
     for (const MutationStep& step : steps) {
       int32_t old_code = masked.Code(step.row, step.attr);
@@ -214,42 +204,41 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
 
   ScaleResult result;
   std::printf("# scale scenario: rows=%lld\n", static_cast<long long>(rows));
-  std::printf("scale_measure,old_ms,new_ms,speedup,max_abs_diff\n");
+  std::printf("scale_measure,rebuild_ms,delta_ms,speedup,max_abs_diff\n");
   bench::JsonObject measures_json;
-  double old_total = 0.0, new_total = 0.0;
+  double rebuild_total = 0.0, delta_total = 0.0;
   for (const auto& [name, measure] : ScaleMeasures()) {
-    std::vector<double> old_scores, new_scores;
-    double old_s = run_path(*measure, old_plane, &old_scores);
-    double new_s = run_path(*measure, new_plane, &new_scores);
+    auto bound = std::move(measure->Bind(original, attrs)).ValueOrDie();
+    std::vector<double> rebuild_scores, delta_scores;
+    double rebuild_s = run_path(*bound, /*threshold=*/1, &rebuild_scores);
+    double delta_s = run_path(*bound, /*threshold=*/0, &delta_scores);
     double diff = 0.0;
-    for (size_t i = 0; i < old_scores.size(); ++i) {
-      diff = std::max(diff, std::fabs(old_scores[i] - new_scores[i]));
+    for (size_t i = 0; i < rebuild_scores.size(); ++i) {
+      diff = std::max(diff, std::fabs(rebuild_scores[i] - delta_scores[i]));
     }
     result.max_abs_diff = std::max(result.max_abs_diff, diff);
-    old_total += old_s;
-    new_total += new_s;
-    double speedup = new_s > 0 ? old_s / new_s : 0.0;
-    if (name == "RSRL") result.rsrl_speedup = speedup;
-    std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(), old_s * 1e3,
-                new_s * 1e3, speedup, diff);
+    rebuild_total += rebuild_s;
+    delta_total += delta_s;
+    double speedup = delta_s > 0 ? rebuild_s / delta_s : 0.0;
+    std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(), rebuild_s * 1e3,
+                delta_s * 1e3, speedup, diff);
     bench::JsonObject one;
-    one.Add("old_eval_seconds", old_s)
-        .Add("new_eval_seconds", new_s)
+    one.Add("rebuild_eval_seconds", rebuild_s)
+        .Add("delta_eval_seconds", delta_s)
         .Add("speedup", speedup)
         .Add("max_abs_diff", diff);
     measures_json.Add(name, one);
   }
-  metrics::SetDataPlane(metrics::DataPlaneConfig{});
-  result.speedup = new_total > 0 ? old_total / new_total : 0.0;
-  std::printf("scale_aggregate,rows=%lld,old_ms=%.3f,new_ms=%.3f,"
+  double speedup = delta_total > 0 ? rebuild_total / delta_total : 0.0;
+  std::printf("scale_aggregate,rows=%lld,rebuild_ms=%.3f,delta_ms=%.3f,"
               "speedup=%.2fx,max_abs_diff=%.3g\n",
-              static_cast<long long>(rows), old_total * 1e3, new_total * 1e3,
-              result.speedup, result.max_abs_diff);
+              static_cast<long long>(rows), rebuild_total * 1e3,
+              delta_total * 1e3, speedup, result.max_abs_diff);
   result.json.Add("rows", rows)
       .Add("measures", measures_json)
-      .Add("old_eval_seconds", old_total)
-      .Add("new_eval_seconds", new_total)
-      .Add("speedup", result.speedup)
+      .Add("rebuild_eval_seconds", rebuild_total)
+      .Add("delta_eval_seconds", delta_total)
+      .Add("speedup", speedup)
       .Add("max_abs_diff", result.max_abs_diff);
   return result;
 }
@@ -634,8 +623,8 @@ int main(int argc, char** argv) {
     json.Add("counters", counters_json);
   }
 
-  // Gated 100k- and 1M-row scenarios: the packed + sharded plane against
-  // the legacy path, bit-exact scores required.
+  // Gated 100k- and 1M-row scenarios: delta path against forced rebuilds,
+  // bit-exact scores required.
   ScaleResult scale_100k, scale_1m;
   if (scale) {
     scale_100k = RunScaleScenario(100000, quick ? 6 : 12);
@@ -691,28 +680,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (scale) {
-    if (scale_100k.max_abs_diff != 0.0 || scale_1m.max_abs_diff != 0.0) {
-      std::fprintf(stderr,
-                   "FAIL: packed+sharded plane diverged from the oracle "
-                   "(100k diff %.3g, 1M diff %.3g) — must be exactly 0\n",
-                   scale_100k.max_abs_diff, scale_1m.max_abs_diff);
-      return 1;
-    }
-    if (!quick && scale_1m.speedup < 3.0) {
-      std::fprintf(stderr,
-                   "FAIL: 1M-row packed+sharded delta eval %.2fx below the "
-                   "3x target\n",
-                   scale_1m.speedup);
-      return 1;
-    }
-    if (!quick && scale_1m.rsrl_speedup < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: 1M-row clustered RSRL delta eval %.2fx below the "
-                   "2x target\n",
-                   scale_1m.rsrl_speedup);
-      return 1;
-    }
+  if (scale &&
+      (scale_100k.max_abs_diff != 0.0 || scale_1m.max_abs_diff != 0.0)) {
+    std::fprintf(stderr,
+                 "FAIL: delta path diverged from a forced rebuild (100k diff "
+                 "%.3g, 1M diff %.3g) — must be exactly 0\n",
+                 scale_100k.max_abs_diff, scale_1m.max_abs_diff);
+    return 1;
   }
   std::printf("# OK\n");
   return 0;

@@ -13,10 +13,11 @@
 // to the same serial schedule (speedup ~1.0).
 //
 // Scenario 3 (--scale, gated): one 100k-record Adult-shaped job end to end,
-// on the legacy row-oriented plane and on the packed + sharded data plane.
-// The best individual must be bit-identical — the plane changes layout and
-// parallelism, never results. --scale runs ONLY this scenario (scenarios 1
-// and 2 are the default invocation; the scale CI job shouldn't repeat them).
+// on a 1-worker scheduler and on the shared pool. The best individual must
+// be bit-identical — the worker count (and with it every shard count)
+// changes wall time, never results. --scale runs ONLY this scenario
+// (scenarios 1 and 2 are the default invocation; the scale CI job
+// shouldn't repeat them).
 //
 // Writes every number to BENCH_session.json.
 
@@ -30,7 +31,6 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "datagen/profile.h"
-#include "metrics/plane.h"
 
 using namespace evocat;
 
@@ -56,9 +56,10 @@ bool SameArtifacts(const std::vector<api::JobSpec>& jobs,
   return true;
 }
 
-/// Scenario 3: a 100k-record job end to end, legacy vs data plane. Returns
-/// false on any job failure or a best-individual mismatch between planes.
-bool RunScaleScenario(double* legacy_seconds, double* plane_seconds) {
+/// Scenario 3: a 100k-record job end to end, once on a 1-worker scheduler
+/// (serial loops, unsharded builds) and once on the shared pool. Returns
+/// false on any job failure or a best-individual mismatch between the two.
+bool RunScaleScenario(double* serial_seconds, double* pool_seconds) {
   api::JobSpec big;
   big.name = "scale-100k";
   big.source.kind = api::SourceSpec::Kind::kSynthetic;
@@ -71,42 +72,45 @@ bool RunScaleScenario(double* legacy_seconds, double* plane_seconds) {
   big.outputs.final_population = false;
   big.outputs.history = false;
 
-  metrics::SetDataPlane(metrics::DataPlaneConfig{});
-  api::Session legacy_session;
-  Timer legacy_timer;
-  auto legacy_run = legacy_session.Run(big);
-  *legacy_seconds = legacy_timer.ElapsedSeconds();
-  if (!legacy_run.ok()) {
-    std::fprintf(stderr, "scale legacy: %s\n",
-                 legacy_run.status().ToString().c_str());
+  Result<api::RunArtifacts> serial_run(Status::Internal("not executed"));
+  {
+    TaskScheduler scheduler(1);
+    TaskScheduler::Group group;
+    Timer serial_timer;
+    scheduler.Submit(&group, [&] {
+      api::Session session;
+      serial_run = session.Run(big);
+    });
+    scheduler.Wait(&group);
+    *serial_seconds = serial_timer.ElapsedSeconds();
+  }
+  if (!serial_run.ok()) {
+    std::fprintf(stderr, "scale 1-worker: %s\n",
+                 serial_run.status().ToString().c_str());
     return false;
   }
 
-  metrics::DataPlaneConfig plane;
-  plane.sharded = true;
-  plane.packed = true;
-  metrics::SetDataPlane(plane);
-  api::Session plane_session;
-  Timer plane_timer;
-  auto plane_run = plane_session.Run(big);
-  *plane_seconds = plane_timer.ElapsedSeconds();
-  metrics::SetDataPlane(metrics::DataPlaneConfig{});
-  if (!plane_run.ok()) {
-    std::fprintf(stderr, "scale plane: %s\n",
-                 plane_run.status().ToString().c_str());
+  api::Session pool_session;
+  Timer pool_timer;
+  auto pool_run = pool_session.Run(big);
+  *pool_seconds = pool_timer.ElapsedSeconds();
+  if (!pool_run.ok()) {
+    std::fprintf(stderr, "scale shared pool: %s\n",
+                 pool_run.status().ToString().c_str());
     return false;
   }
-  if (!plane_run.ValueOrDie().best_data.SameCodes(
-          legacy_run.ValueOrDie().best_data)) {
+  if (!pool_run.ValueOrDie().best_data.SameCodes(
+          serial_run.ValueOrDie().best_data)) {
     std::fprintf(stderr,
-                 "scale-100k: data-plane result differs from legacy run\n");
+                 "scale-100k: shared-pool result differs from the 1-worker "
+                 "run\n");
     return false;
   }
   std::printf(
-      "scale-100k: legacy: %.2fs  packed+sharded: %.2fs  speedup: %.2fx "
-      "(bit-identical)\n",
-      *legacy_seconds, *plane_seconds,
-      *plane_seconds > 0 ? *legacy_seconds / *plane_seconds : 0.0);
+      "scale-100k: 1 worker: %.2fs  shared pool (%d workers): %.2fs  "
+      "speedup: %.2fx (bit-identical)\n",
+      *serial_seconds, TaskScheduler::Shared().num_workers(), *pool_seconds,
+      *pool_seconds > 0 ? *serial_seconds / *pool_seconds : 0.0);
   return true;
 }
 
@@ -118,13 +122,15 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--scale") == 0) scale = true;
   }
   if (scale) {
-    double legacy_seconds = 0.0, plane_seconds = 0.0;
-    if (!RunScaleScenario(&legacy_seconds, &plane_seconds)) return 1;
+    double serial_seconds = 0.0, pool_seconds = 0.0;
+    if (!RunScaleScenario(&serial_seconds, &pool_seconds)) return 1;
+    int64_t workers = TaskScheduler::Shared().num_workers();
     bench::JsonObject summary;
-    summary.Add("scale_100k_legacy_seconds", legacy_seconds);
-    summary.Add("scale_100k_plane_seconds", plane_seconds);
+    summary.Add("scale_100k_one_worker_seconds", serial_seconds);
+    summary.Add("scale_100k_shared_pool_seconds", pool_seconds);
+    summary.Add("scale_100k_shared_pool_workers", workers);
     summary.Add("scale_100k_speedup",
-                plane_seconds > 0 ? legacy_seconds / plane_seconds : 0.0);
+                pool_seconds > 0 ? serial_seconds / pool_seconds : 0.0);
     Status status = bench::WriteJsonFile("BENCH_session.json", summary);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());

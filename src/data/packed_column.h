@@ -118,11 +118,8 @@ class PackedColumn {
   uint64_t mask_ = 0;
 };
 
-/// \brief A set of packed columns mirroring chosen attributes of a dataset.
-///
-/// Measure states keep a `PackedTable` of their bound attributes' masked
-/// codes, maintain it cell-by-cell under `ApplySegment`/`RevertSegment`, and
-/// read it (instead of the int32 columns) on full rebuilds.
+/// \brief A set of packed columns mirroring chosen attributes of a dataset,
+/// maintainable cell by cell through `Set`.
 class PackedTable {
  public:
   PackedTable() = default;

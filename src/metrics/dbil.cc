@@ -14,10 +14,7 @@ namespace {
 class BoundDbIl : public BoundMeasure {
  public:
   BoundDbIl(const Dataset& original, const std::vector<int>& attrs)
-      : original_(&original),
-        tables_(original, attrs),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {}
+      : original_(&original), tables_(original, attrs) {}
 
   double Compute(const Dataset& masked) const override {
     const auto& attrs = tables_.attrs();
@@ -45,10 +42,10 @@ class BoundDbIl : public BoundMeasure {
     const auto& mask_col = masked.column(attr);
     auto card = static_cast<size_t>(
         original_->schema().attribute(attr).cardinality());
+    int shards = ResolveShardCount();
     std::vector<std::vector<int64_t>> partials(
-        static_cast<size_t>(shards_),
-        std::vector<int64_t>(card * card, 0));
-    ForEachShard(n, shards_, [&](int shard, RowRange range) {
+        static_cast<size_t>(shards), std::vector<int64_t>(card * card, 0));
+    ForEachShard(n, shards, [&](int shard, RowRange range) {
       int64_t* joint = partials[static_cast<size_t>(shard)].data();
       for (int64_t r = range.begin; r < range.end; ++r) {
         joint[static_cast<size_t>(orig_col[static_cast<size_t>(r)]) * card +
@@ -56,7 +53,7 @@ class BoundDbIl : public BoundMeasure {
       }
     });
     std::vector<int64_t>& joint = partials[0];
-    for (int s = 1; s < shards_; ++s) {
+    for (int s = 1; s < shards; ++s) {
       const auto& partial = partials[static_cast<size_t>(s)];
       for (size_t c = 0; c < joint.size(); ++c) joint[c] += partial[c];
     }
@@ -80,7 +77,6 @@ class BoundDbIl : public BoundMeasure {
  private:
   const Dataset* original_;
   DistanceTables tables_;
-  int shards_;
 };
 
 /// DBIL is a sum of independent per-cell distance terms, so a delta just

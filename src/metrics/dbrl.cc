@@ -19,32 +19,23 @@ class BoundDbrl : public BoundMeasure {
     // Pattern clustering of the original rows: every state build (and the
     // clustered delta state) folds distances per (cluster, group) pair
     // instead of per row pair — O(C*G*A) instead of O(n^2 * A).
-    clusters_ = PatternIndex::Build(original, attrs,
-                                    ResolveShardCount(GetDataPlane()));
+    clusters_ = PatternIndex::Build(original, attrs);
   }
 
   double Compute(const Dataset& masked) const override {
     int64_t n = original_->num_rows();
     std::vector<LinkageRowBest> rows(static_cast<size_t>(n));
     ParallelFor(0, n, [&](int64_t i) {
-      rows[static_cast<size_t>(i)] = ScanRow(masked, i);
+      LinkageRowBest& row = rows[static_cast<size_t>(i)];
+      for (int64_t j = 0; j < n; ++j) {
+        LinkageAdd(&row, tables_.RecordDistance(*original_, i, masked, j),
+                   j == i);
+      }
     });
     return LinkageCreditScore(rows);
   }
 
   std::unique_ptr<MeasureState> BindState(const Dataset& masked) const override;
-
-  /// \brief Fresh linkage of original record `i` against every masked record
-  /// (the row-oriented kernel shared by Compute and state rescans).
-  LinkageRowBest ScanRow(const Dataset& masked, int64_t i) const {
-    int64_t n = original_->num_rows();
-    LinkageRowBest row;
-    for (int64_t j = 0; j < n; ++j) {
-      double d = tables_.RecordDistance(*original_, i, masked, j);
-      LinkageAdd(&row, d, j == i);
-    }
-    return row;
-  }
 
   /// \brief Fresh fold of one original cluster against every masked pattern
   /// group (in group id order). Agrees with the per-row scan whenever
@@ -73,130 +64,29 @@ class BoundDbrl : public BoundMeasure {
   PatternIndex clusters_;
 };
 
-/// A changed masked record j only perturbs the distances d(., j), so each
-/// original record's linkage updates in O(1) distance evaluations per
-/// changed row; only records whose entire best-match support disappears are
-/// rescanned in full. Cost model: the row-best group maintenance costs
-/// O(n · changed_rows · A) plus rescans whose frequency grows quickly with
-/// the touched-row share (every record whose best match sat in the changed
-/// set rescans in O(n · A)), so the measured break-even against a rebuild
-/// sits near 15% of the protected cells — fraction 0.15.
-///
-/// Init is pattern-clustered: rows sharing a code tuple share their entire
-/// distance profile, so the O(n^2) all-pairs scan collapses to an O(C*G*A)
-/// fold over (original cluster, masked group) pairs, then fans out per row.
-class DbrlState : public MeasureState {
- public:
-  DbrlState(const BoundDbrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.15),
-        bound_(bound),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {
-    InitFrom(masked);
-    backup_ = core_;
-  }
-
-  void ApplySegment(const Dataset& masked_after,
-                    const SegmentDelta& segment) override {
-    backup_ = core_;
-    if (segment.num_cells() >= full_rebuild_threshold()) {
-      InitFrom(masked_after);
-      return;
-    }
-    const auto& row_deltas = segment.rows();
-    if (row_deltas.empty()) return;
-
-    int64_t n = bound_->original().num_rows();
-    const auto& attrs = bound_->tables().attrs();
-    rescan_.assign(static_cast<size_t>(n), 0);
-
-    ParallelFor(0, n, [&](int64_t i) {
-      LinkageRowBest& row = core_.rows[static_cast<size_t>(i)];
-      uint8_t* needs_rescan = &rescan_[static_cast<size_t>(i)];
-      for (const RowDelta& rd : row_deltas) {
-        if (*needs_rescan) break;  // a rescan recomputes the final truth
-        int64_t j = rd.row;
-        // Distances to the pre/post images of changed record j, summed in
-        // bound-attribute order exactly like RecordDistance.
-        double sum_old = 0.0, sum_new = 0.0;
-        for (size_t k = 0; k < attrs.size(); ++k) {
-          int32_t orig_code = bound_->original().Code(i, attrs[k]);
-          sum_old += bound_->tables().At(
-              k, orig_code, rd.OldCode(masked_after, attrs[k]));
-          sum_new += bound_->tables().At(k, orig_code,
-                                         masked_after.Code(j, attrs[k]));
-        }
-        double denom = static_cast<double>(attrs.size());
-        LinkageRemove(&row, sum_old / denom, j == i, needs_rescan);
-        if (!*needs_rescan) LinkageAdd(&row, sum_new / denom, j == i);
-      }
-    });
-
-    ParallelFor(0, n, [&](int64_t i) {
-      if (rescan_[static_cast<size_t>(i)]) {
-        core_.rows[static_cast<size_t>(i)] = bound_->ScanRow(masked_after, i);
-      }
-    });
-    core_.score = LinkageCreditScore(core_.rows);
-  }
-
-  void RevertSegment() override { core_ = backup_; }
-
-  double Score() const override { return core_.score; }
-
- private:
-  struct Core {
-    std::vector<LinkageRowBest> rows;
-    double score = 0.0;
-  };
-
-  void InitFrom(const Dataset& masked) {
-    int64_t n = bound_->original().num_rows();
-    const PatternIndex& clusters = bound_->clusters();
-    const DistanceTables& tables = bound_->tables();
-    MaskedGroups groups =
-        MaskedGroups::Build(masked, tables.attrs(), shards_);
-    int64_t num_clusters = clusters.num_clusters();
-
-    std::vector<LinkageRowBest> cluster_best(
-        static_cast<size_t>(num_clusters));
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      cluster_best[static_cast<size_t>(c)] = bound_->ScanCluster(c, groups);
-    });
-
-    core_.rows.assign(static_cast<size_t>(n), LinkageRowBest{});
-    ParallelFor(0, n, [&](int64_t i) {
-      int32_t c = clusters.cluster_of(i);
-      LinkageRowBest row = cluster_best[static_cast<size_t>(c)];
-      double d_self = tables.RecordDistanceCodes(
-          clusters.codes(c), groups.codes(groups.group_of(i)));
-      row.self =
-          (row.count > 0 && d_self <= row.best + kLinkageEps) ? 1 : 0;
-      core_.rows[static_cast<size_t>(i)] = row;
-    });
-    core_.score = LinkageCreditScore(core_.rows);
-  }
-
-  const BoundDbrl* bound_;
-  int shards_;
-  Core core_;
-  Core backup_;
-  std::vector<uint8_t> rescan_;  ///< per-apply scratch, reused
-};
-
-/// Cluster-level DBRL state (the sharded data plane): instead of n per-row
-/// linkage records it maintains one `LinkageRowBest` per *original cluster*
-/// plus each row's self distance, and updates per delta in O(C*A) instead of
-/// O(n*A). Rows of a cluster share their whole distance profile, so the
+/// Cluster-level DBRL state: instead of n per-row linkage records it keeps
+/// one `LinkageRowBest` per *original cluster* plus each row's self
+/// distance. Rows of a cluster share their whole distance profile, so the
 /// cluster record is exactly the per-row record of every member; scoring
 /// walks rows serially in the same order (and with the same float ops) as
 /// `LinkageCreditScore`.
+///
+/// A changed masked record j only perturbs the distances d(., j), so each
+/// cluster's record updates in O(A) per changed row — O(C*A) per row, not
+/// O(n*A) — and only clusters whose entire best-match support disappears
+/// are rescanned in full (O(G*A) each). Cost model: the support maintenance
+/// costs O(C · changed_rows · A) plus rescans whose frequency grows quickly
+/// with the touched-row share (every cluster whose best match sat in the
+/// changed set rescans), so the break-even against a rebuild sits near 15%
+/// of the protected cells — fraction 0.15.
+///
+/// Init is pattern-clustered: rows sharing a code tuple share their entire
+/// distance profile, so the O(n^2) all-pairs scan collapses to an O(C*G*A)
+/// fold over (original cluster, masked group) pairs.
 class ClusteredDbrlState : public MeasureState {
  public:
   ClusteredDbrlState(const BoundDbrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.15),
-        bound_(bound),
-        shards_(ResolveShardCount(GetDataPlane())) {
+      : MeasureState(/*default_rebuild_fraction=*/0.15), bound_(bound) {
     InitFrom(masked);
     undo_.cluster_best = cluster_best_;
     undo_.score = score_;
@@ -247,8 +137,8 @@ class ClusteredDbrlState : public MeasureState {
           clusters.codes(clusters.cluster_of(rd.row)), new_codes);
     }
 
-    // Per-cluster fold, mirroring the row-oriented state's per-row loop
-    // (same remove/add sequence, break on rescan).
+    // Per-cluster fold: remove each changed row's old distance, add its new
+    // one; a cluster whose support empties stops here and is rescanned.
     rescan_.assign(static_cast<size_t>(num_clusters), 0);
     ParallelFor(0, num_clusters, [&](int64_t c) {
       LinkageRowBest& row = cluster_best_[static_cast<size_t>(c)];
@@ -264,8 +154,8 @@ class ClusteredDbrlState : public MeasureState {
           sum_new += tables.At(k, cluster_codes[k], new_codes[k]);
         }
         double denom = static_cast<double>(num_attrs);
-        LinkageRemove(&row, sum_old / denom, false, needs_rescan);
-        if (!*needs_rescan) LinkageAdd(&row, sum_new / denom, false);
+        LinkageRemoveN(&row, sum_old / denom, 1, needs_rescan);
+        if (!*needs_rescan) LinkageAddN(&row, sum_new / denom, 1);
       }
     });
     ParallelFor(0, num_clusters, [&](int64_t c) {
@@ -306,7 +196,7 @@ class ClusteredDbrlState : public MeasureState {
     const PatternIndex& clusters = bound_->clusters();
     const DistanceTables& tables = bound_->tables();
     int64_t n = bound_->original().num_rows();
-    groups_ = MaskedGroups::Build(masked, tables.attrs(), shards_);
+    groups_ = MaskedGroups::Build(masked, tables.attrs());
     int64_t num_clusters = clusters.num_clusters();
     cluster_best_.assign(static_cast<size_t>(num_clusters), LinkageRowBest{});
     ParallelFor(0, num_clusters, [&](int64_t c) {
@@ -349,7 +239,6 @@ class ClusteredDbrlState : public MeasureState {
   };
 
   const BoundDbrl* bound_;
-  int shards_;
   MaskedGroups groups_;
   std::vector<LinkageRowBest> cluster_best_;  ///< per original cluster
   std::vector<double> d_self_;                ///< d(cluster(i), group(i))
@@ -361,10 +250,7 @@ class ClusteredDbrlState : public MeasureState {
 };
 
 std::unique_ptr<MeasureState> BoundDbrl::BindState(const Dataset& masked) const {
-  if (GetDataPlane().sharded) {
-    return std::make_unique<ClusteredDbrlState>(this, masked);
-  }
-  return std::make_unique<DbrlState>(this, masked);
+  return std::make_unique<ClusteredDbrlState>(this, masked);
 }
 
 }  // namespace

@@ -26,9 +26,10 @@ std::vector<int> AttrPositions(const std::vector<int>& attrs,
 /// (matches the full Compute scans of DBRL/RSRL).
 inline constexpr double kLinkageEps = 1e-12;
 
-/// \brief Per-original-record linkage record maintained by the DBRL/RSRL
-/// states: the best (minimum) distance over the masked records considered,
-/// the size of its tie set, and whether the true match j == i is in it.
+/// \brief Linkage record of one original record (the DBRL/RSRL Compute
+/// scans) or one original pattern cluster (their states): the best
+/// (minimum) distance over the masked records considered, the size of its
+/// tie set, and — per record only — whether the true match j == i is in it.
 struct LinkageRowBest {
   double best = 1e100;
   int32_t count = 0;
@@ -64,22 +65,11 @@ inline void LinkageAddN(LinkageRowBest* row, double d, int64_t count) {
   }
 }
 
-/// \brief Removes a masked record's previous distance from the support set;
-/// flags `rescan` when the support empties (the row needs a fresh scan).
-inline void LinkageRemove(LinkageRowBest* row, double d, bool is_self,
-                          uint8_t* rescan) {
-  if (d <= row->best + kLinkageEps && d >= row->best - kLinkageEps) {
-    --row->count;
-    if (is_self) row->self = 0;
-    if (row->count <= 0) *rescan = 1;
-  }
-}
-
-/// \brief `LinkageRemove` with multiplicity: removes `count` masked records
-/// at the same distance in one step (a pattern group leaving the candidate
-/// set). Like `LinkageAddN` the self flag is left untouched — cluster-level
-/// callers reconstruct it from the self distance. Flags `rescan` when the
-/// support empties.
+/// \brief Removes `count` masked records at distance `d` from the support
+/// set in one step (a changed row, or a pattern group leaving the candidate
+/// set); flags `rescan` when the support empties (the record needs a fresh
+/// scan). Like `LinkageAddN` the self flag is left untouched — cluster-level
+/// callers reconstruct it from the self distance.
 inline void LinkageRemoveN(LinkageRowBest* row, double d, int64_t count,
                            uint8_t* rescan) {
   if (d <= row->best + kLinkageEps && d >= row->best - kLinkageEps) {

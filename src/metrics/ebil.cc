@@ -36,10 +36,7 @@ double AttrEntropyLoss(const std::vector<double>& joint, int card, int64_t n) {
 class BoundEbIl : public BoundMeasure {
  public:
   BoundEbIl(const Dataset& original, const std::vector<int>& attrs)
-      : original_(&original),
-        attrs_(attrs),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {}
+      : original_(&original), attrs_(attrs) {}
 
   double Compute(const Dataset& masked) const override {
     double sum_attr_loss = 0.0;
@@ -65,9 +62,10 @@ class BoundEbIl : public BoundMeasure {
     const auto& orig_col = original_->column(attr);
     const auto& mask_col = masked.column(attr);
     int64_t n = original_->num_rows();
+    int shards = ResolveShardCount();
     std::vector<std::vector<int64_t>> partials(
-        static_cast<size_t>(shards_), std::vector<int64_t>(card * card, 0));
-    ForEachShard(n, shards_, [&](int shard, RowRange range) {
+        static_cast<size_t>(shards), std::vector<int64_t>(card * card, 0));
+    ForEachShard(n, shards, [&](int shard, RowRange range) {
       int64_t* counts = partials[static_cast<size_t>(shard)].data();
       for (int64_t r = range.begin; r < range.end; ++r) {
         auto m = static_cast<size_t>(mask_col[static_cast<size_t>(r)]);
@@ -76,7 +74,7 @@ class BoundEbIl : public BoundMeasure {
       }
     });
     std::vector<int64_t>& counts = partials[0];
-    for (int s = 1; s < shards_; ++s) {
+    for (int s = 1; s < shards; ++s) {
       const auto& partial = partials[static_cast<size_t>(s)];
       for (size_t c = 0; c < counts.size(); ++c) counts[c] += partial[c];
     }
@@ -97,7 +95,6 @@ class BoundEbIl : public BoundMeasure {
  private:
   const Dataset* original_;
   std::vector<int> attrs_;
-  int shards_;
 };
 
 /// EBIL depends on the masked file only through per-attribute joint count

@@ -72,9 +72,7 @@ class IntervalDisclosureState : public MeasureState {
                           const Dataset& masked)
       : MeasureState(/*default_rebuild_fraction=*/1.0),
         bound_(bound),
-        attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {
+        attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())) {
     InitFrom(masked);
     backup_ = core_;
   }
@@ -122,7 +120,7 @@ class IntervalDisclosureState : public MeasureState {
   void InitFrom(const Dataset& masked) {
     const auto& attrs = bound_->attrs();
     int64_t n = bound_->original().num_rows();
-    int shards = shards_;
+    int shards = ResolveShardCount();
     core_.counts.resize(attrs.size());
     core_.paircounts.resize(attrs.size());
     core_.disclosed.assign(attrs.size(), 0);
@@ -189,7 +187,6 @@ class IntervalDisclosureState : public MeasureState {
 
   const BoundIntervalDisclosure* bound_;
   std::vector<int> attr_pos_;
-  int shards_;
   Core core_;
   Core backup_;
 };

@@ -37,7 +37,6 @@ SegmentDelta SegmentDelta::FromCells(const std::vector<CellDelta>& cells) {
     size_t slot = index[delta.row];
     segment.cells_[static_cast<size_t>(cursor[slot]++)] = delta;
   }
-  segment.rows_dirty_ = true;
   return segment;
 }
 
@@ -49,22 +48,6 @@ void SegmentDelta::Append(int64_t row, int attr, int32_t old_code,
   } else {
     ++groups_.back().count;
   }
-  rows_dirty_ = true;
-}
-
-const std::vector<RowDelta>& SegmentDelta::rows() const {
-  if (rows_dirty_) {
-    rows_.clear();
-    rows_.reserve(groups_.size());
-    const CellDelta* base = cells_.data();
-    for (const Group& group : groups_) {
-      rows_.push_back(RowDelta{
-          group.row,
-          CellSpan{base + group.begin, static_cast<size_t>(group.count)}});
-    }
-    rows_dirty_ = false;
-  }
-  return rows_;
 }
 
 namespace {

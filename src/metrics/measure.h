@@ -103,11 +103,49 @@ struct RowDelta {
 /// cell appears in exactly one row group; `old_code` is the pre-batch value.
 ///
 /// Storage is a single flat `CellDelta` array plus {row, begin, count} group
-/// records; the `rows()` view is materialized lazily because appends can
-/// reallocate the flat array (one allocation per view rebuild instead of one
-/// vector per row — the arena piece of the segment path).
+/// records. `rows()` is a by-value view over the group records that builds
+/// each `RowDelta` when it is read, so a segment is immutable once built and
+/// every measure can read it concurrently.
 class SegmentDelta {
  public:
+  /// \brief Row-transition view: `size()`, `operator[]` and iteration, each
+  /// `RowDelta` made on read from the segment's flat storage. Holds no state
+  /// of its own; valid while the segment is alive and unchanged.
+  class RowView {
+   public:
+    class Iterator {
+     public:
+      Iterator(const SegmentDelta* segment, size_t index)
+          : segment_(segment), index_(index) {}
+      RowDelta operator*() const { return segment_->RowAt(index_); }
+      Iterator& operator++() {
+        ++index_;
+        return *this;
+      }
+      bool operator==(const Iterator& other) const {
+        return index_ == other.index_;
+      }
+      bool operator!=(const Iterator& other) const {
+        return index_ != other.index_;
+      }
+
+     private:
+      const SegmentDelta* segment_;
+      size_t index_;
+    };
+
+    explicit RowView(const SegmentDelta& segment) : segment_(&segment) {}
+
+    size_t size() const { return segment_->groups_.size(); }
+    bool empty() const { return segment_->groups_.empty(); }
+    RowDelta operator[](size_t i) const { return segment_->RowAt(i); }
+    Iterator begin() const { return Iterator(segment_, 0); }
+    Iterator end() const { return Iterator(segment_, size()); }
+
+   private:
+    const SegmentDelta* segment_;
+  };
+
   SegmentDelta() = default;
 
   /// \brief Groups an arbitrary batch by row (first-appearance order). Cells
@@ -122,14 +160,11 @@ class SegmentDelta {
   void Reserve(size_t num_cells, size_t num_rows) {
     cells_.reserve(num_cells);
     groups_.reserve(num_rows);
-    rows_.reserve(num_rows);
   }
 
   void clear() {
     cells_.clear();
     groups_.clear();
-    rows_.clear();
-    rows_dirty_ = false;
   }
 
   bool empty() const { return cells_.empty(); }
@@ -139,9 +174,8 @@ class SegmentDelta {
   const std::vector<CellDelta>& cells() const { return cells_; }
 
   /// \brief Row-transition view (record-scoped measures: CTBIL, linkage).
-  /// Materialized on first use after an append; the returned RowDeltas point
-  /// into this segment's flat storage.
-  const std::vector<RowDelta>& rows() const;
+  /// The returned RowDeltas point into this segment's flat storage.
+  RowView rows() const { return RowView(*this); }
 
  private:
   struct Group {
@@ -150,10 +184,15 @@ class SegmentDelta {
     int64_t count = 0;
   };
 
+  RowDelta RowAt(size_t i) const {
+    const Group& group = groups_[i];
+    return RowDelta{group.row,
+                    CellSpan{cells_.data() + group.begin,
+                             static_cast<size_t>(group.count)}};
+  }
+
   std::vector<CellDelta> cells_;
   std::vector<Group> groups_;
-  mutable std::vector<RowDelta> rows_;
-  mutable bool rows_dirty_ = false;
 };
 
 /// \brief Incremental evaluation state for one masked file under one measure.

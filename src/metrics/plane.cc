@@ -1,7 +1,6 @@
 #include "metrics/plane.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/parallel.h"
 #include "common/task_scheduler.h"
@@ -12,16 +11,6 @@ namespace evocat {
 namespace metrics {
 
 namespace {
-
-std::mutex& PlaneMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-DataPlaneConfig& PlaneConfig() {
-  static DataPlaneConfig config;
-  return config;
-}
 
 obs::Histogram* ShardScanSecondsHistogram() {
   static obs::Histogram* histogram =
@@ -47,19 +36,12 @@ obs::Counter* ClusterMissesCounter() {
 
 }  // namespace
 
-DataPlaneConfig GetDataPlane() {
-  std::lock_guard<std::mutex> lock(PlaneMutex());
-  return PlaneConfig();
-}
-
-void SetDataPlane(const DataPlaneConfig& config) {
-  std::lock_guard<std::mutex> lock(PlaneMutex());
-  PlaneConfig() = config;
-}
-
-int ResolveShardCount(const DataPlaneConfig& config) {
-  if (config.shards > 0) return config.shards;
-  int workers = TaskScheduler::Shared().num_workers();
+int ResolveShardCount() {
+  // Only fall back to the shared pool off-scheduler: touching Shared() on a
+  // daemon worker would start a second, idle pool beside the daemon's own.
+  TaskScheduler* current = TaskScheduler::Current();
+  int workers = current != nullptr ? current->num_workers()
+                                   : TaskScheduler::Shared().num_workers();
   return workers < 1 ? 1 : workers;
 }
 
@@ -129,14 +111,14 @@ struct LocalPatterns {
 /// `row_id` receives temporary local ids during the scan and final global
 /// ids after the remap.
 void BuildPatterns(const Dataset& dataset, const std::vector<int>& attrs,
-                   int shards, std::vector<int32_t>* row_id,
-                   std::vector<int64_t>* sizes, std::vector<int32_t>* codes,
+                   std::vector<int32_t>* row_id, std::vector<int64_t>* sizes,
+                   std::vector<int32_t>* codes,
                    std::unordered_map<uint64_t, std::vector<int32_t>>* buckets) {
   const int64_t rows = dataset.num_rows();
   const size_t num_attrs = attrs.size();
   row_id->assign(static_cast<size_t>(rows), 0);
   if (rows == 0 || num_attrs == 0) return;
-  if (shards < 1) shards = 1;
+  const int shards = ResolveShardCount();
 
   std::vector<const Dataset::Column*> columns;
   columns.reserve(num_attrs);
@@ -199,19 +181,19 @@ void BuildPatterns(const Dataset& dataset, const std::vector<int>& attrs,
 }  // namespace
 
 PatternIndex PatternIndex::Build(const Dataset& dataset,
-                                 const std::vector<int>& attrs, int shards) {
+                                 const std::vector<int>& attrs) {
   PatternIndex index;
   index.num_attrs_ = attrs.size();
-  BuildPatterns(dataset, attrs, shards, &index.row_cluster_, &index.sizes_,
+  BuildPatterns(dataset, attrs, &index.row_cluster_, &index.sizes_,
                 &index.codes_, nullptr);
   return index;
 }
 
 MaskedGroups MaskedGroups::Build(const Dataset& masked,
-                                 const std::vector<int>& attrs, int shards) {
+                                 const std::vector<int>& attrs) {
   MaskedGroups groups;
   groups.num_attrs_ = attrs.size();
-  BuildPatterns(masked, attrs, shards, &groups.row_group_, &groups.sizes_,
+  BuildPatterns(masked, attrs, &groups.row_group_, &groups.sizes_,
                 &groups.codes_, &groups.buckets_);
   return groups;
 }

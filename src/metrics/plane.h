@@ -1,8 +1,8 @@
 /// \file plane.h
-/// \brief The scale data plane: shard geometry and pattern clustering.
+/// \brief The data plane: shard geometry and pattern clustering.
 ///
-/// Two orthogonal switches make the measures production-scale without
-/// changing a single score bit:
+/// Two mechanisms make the measures production-scale without changing a
+/// single score bit:
 ///
 ///  - **Sharding** splits row ranges contiguously across the
 ///    `TaskScheduler` so state (re)builds within *one* individual
@@ -18,8 +18,9 @@
 ///    O(n^2) inits collapse to O(C) and O(C*G) — the algorithmic win behind
 ///    the scale bench gates.
 ///
-/// `DataPlaneConfig` selects the plane per process (states snapshot it at
-/// construction); the default is the legacy row-oriented path.
+/// There is nothing to configure: the shard count is the worker count of
+/// the scheduler the caller runs on (`ResolveShardCount`), and since any
+/// shard count gives the same bits, that choice only moves wall time.
 
 #ifndef EVOCAT_METRICS_PLANE_H_
 #define EVOCAT_METRICS_PLANE_H_
@@ -34,26 +35,10 @@
 namespace evocat {
 namespace metrics {
 
-/// \brief Process-wide data-plane selection.
-struct DataPlaneConfig {
-  /// Row-sharded state builds + pattern-clustered linkage states.
-  bool sharded = false;
-  /// Bit-packed column mirrors on the counting measures (CTBIL).
-  bool packed = false;
-  /// Shard count; <= 0 resolves to the TaskScheduler's worker count.
-  int shards = 0;
-};
-
-/// \brief Current configuration (copied — callers snapshot at bind time).
-DataPlaneConfig GetDataPlane();
-
-/// \brief Replaces the process-wide configuration. Not thread-safe against
-/// concurrent binds; flip it between evaluations (tests, benches, startup).
-void SetDataPlane(const DataPlaneConfig& config);
-
-/// \brief Shard count a config resolves to: the explicit value when
-/// positive, otherwise the scheduler's worker count (never below 1).
-int ResolveShardCount(const DataPlaneConfig& config);
+/// \brief Shard count for a build started on the calling thread: the
+/// worker count of the scheduler it runs on (`TaskScheduler::Current()`,
+/// else `Shared()` — the same routing `ParallelFor` takes), never below 1.
+int ResolveShardCount();
 
 /// \brief A contiguous row range [begin, end).
 struct RowRange {
@@ -80,13 +65,14 @@ void ForEachShard(int64_t rows, int shards,
 /// the shard count used to build: per-shard insertion-ordered local tables
 /// are merged serially in shard index order, and shard ranges are contiguous
 /// ascending — so the merged order equals the serial scan order. Built once
-/// per bound measure over the *original* file.
+/// per bound measure over the *original* file, sharded `ResolveShardCount()`
+/// ways.
 class PatternIndex {
  public:
   PatternIndex() = default;
 
   static PatternIndex Build(const Dataset& dataset,
-                            const std::vector<int>& attrs, int shards);
+                            const std::vector<int>& attrs);
 
   int64_t num_clusters() const {
     return static_cast<int64_t>(sizes_.size());
@@ -129,8 +115,9 @@ class MaskedGroups {
 
   MaskedGroups() = default;
 
+  /// \brief Groups `masked`'s rows, sharded `ResolveShardCount()` ways.
   static MaskedGroups Build(const Dataset& masked,
-                            const std::vector<int>& attrs, int shards);
+                            const std::vector<int>& attrs);
 
   int64_t num_groups() const { return static_cast<int64_t>(sizes_.size()); }
   size_t num_attrs() const { return num_attrs_; }

@@ -37,8 +37,8 @@ constexpr int kMinIterationsForWarmStart = 10;
 /// shifts the pattern counts far enough that the warm trajectory rarely
 /// freezes within its budget, and a missed attempt costs kWarmStartSweeps
 /// wasted sweeps on top of the full cold fit it falls back to. GA mutation
-/// legs (1-4 cells) stay warm. The gate depends only on the segment, so
-/// both data planes decide identically.
+/// legs (1-4 cells) stay warm. The gate depends only on the segment, so a
+/// replayed walk decides identically at any shard count.
 constexpr int64_t kMaxWarmSegmentCells = 8;
 
 obs::Counter* EmWarmHitsCounter() {
@@ -182,8 +182,7 @@ class BoundPrl : public BoundMeasure {
     // Pattern clustering of the original rows: agreement patterns depend
     // only on the code tuples, so state builds fold per (cluster, masked
     // group) pair instead of per row pair.
-    clusters_ = PatternIndex::Build(original, attrs,
-                                    ResolveShardCount(GetDataPlane()));
+    clusters_ = PatternIndex::Build(original, attrs);
   }
 
   double Compute(const Dataset& masked) const override {
@@ -285,388 +284,28 @@ class BoundPrl : public BoundMeasure {
   PatternIndex clusters_;
 };
 
-/// PRL's sufficient statistic is, per original record, the histogram of
-/// agreement patterns against every masked record (plus the global pattern
-/// counts feeding the EM fit). The histograms are *compressed*: each record
-/// keeps a sorted sparse (pattern, count) vector instead of the former dense
-/// 2^attrs layout, so the state works at any attribute count (a record can
-/// meet at most n distinct patterns no matter how wide the pattern space
-/// is). A changed masked record j shifts one histogram unit per original
-/// record — O(n · |attrs| + n · log(distinct)) per changed row — after
+/// Cluster-level PRL state. PRL's sufficient statistic is, per original
+/// record, the histogram of agreement patterns against every masked record
+/// (plus the global pattern counts feeding the EM fit). Rows sharing an
+/// original code tuple share that histogram, so the state keeps one per
+/// *original cluster*, scaled by cluster size into the global counts, and
+/// each row keeps only its own self pattern.
+///
+/// The histograms are *compressed*: a sorted sparse (pattern, count) vector
+/// instead of a dense 2^attrs layout, so the state works at any attribute
+/// count (a cluster can meet at most G distinct patterns no matter how wide
+/// the pattern space is). A changed masked row shifts one histogram unit
+/// per cluster — O(C · (|attrs| + log distinct)) per changed row — after
 /// which the EM refit reads the sorted nonzero global counts (identical
-/// arithmetic to the dense oracle) and the per-record argmax reads only the
-/// record's own nonzero buckets. Cost model: the per-changed-row histogram
-/// shifts (two pattern computes plus two sorted-bucket updates per original
-/// record) overtake the flat O(n² · |attrs|) rebuild once a batch covers
-/// roughly a fifth of the protected cells — fraction 0.2.
-class PrlState : public MeasureState {
- public:
-  PrlState(const BoundPrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.2),
-        bound_(bound),
-        shards_(GetDataPlane().sharded ? ResolveShardCount(GetDataPlane())
-                                       : 1) {
-    InitFrom(masked);
-    undo_.counts = core_.counts;
-    undo_.score = core_.score;
-  }
-
-  void ApplySegment(const Dataset& masked_after,
-                    const SegmentDelta& segment) override {
-    undo_.counts = core_.counts;
-    undo_.score = core_.score;
-    undo_.em_model = em_model_;
-    undo_.warm_em = warm_em_;
-    undo_.shifts.clear();
-    undo_.rebuilt = false;
-    warm_small_delta_ = segment.num_cells() <= kMaxWarmSegmentCells;
-    if (segment.num_cells() >= full_rebuild_threshold()) {
-      undo_.rebuilt = true;
-      undo_.hist_backup = core_.hist;
-      InitFrom(masked_after);
-      return;
-    }
-    const auto& row_deltas = segment.rows();
-    if (row_deltas.empty()) return;
-
-    const auto& attrs = bound_->attrs();
-    int64_t n = bound_->original().num_rows();
-    scratch_.resize(static_cast<size_t>(n));
-
-    for (const RowDelta& rd : row_deltas) {
-      bool relevant = false;
-      for (const auto& cell : rd.cells) {
-        for (int attr : attrs) relevant = relevant || cell.attr == attr;
-      }
-      if (!relevant) continue;
-      // Per original record: shift one histogram unit from the changed
-      // row's old pattern to its new one. The (old, new) pairs land in a
-      // reused dense scratch; only records whose pattern actually moved are
-      // logged (sparsely) for Revert and folded into the global counts, so
-      // the undo footprint is bounded by real shifts, not n per row.
-      ParallelFor(0, n, [&](int64_t i) {
-        uint32_t p_old = 0, p_new = 0;
-        for (size_t k = 0; k < attrs.size(); ++k) {
-          int32_t orig_code = bound_->original().Code(i, attrs[k]);
-          if (orig_code == rd.OldCode(masked_after, attrs[k])) {
-            p_old |= (1u << k);
-          }
-          if (orig_code == masked_after.Code(rd.row, attrs[k])) {
-            p_new |= (1u << k);
-          }
-        }
-        scratch_[static_cast<size_t>(i)] =
-            (static_cast<uint64_t>(p_old) << 32) | p_new;
-        if (p_old != p_new) {
-          auto& hist = core_.hist[static_cast<size_t>(i)];
-          Shift(&hist, p_old, -1);
-          Shift(&hist, p_new, +1);
-        }
-      });
-      for (int64_t i = 0; i < n; ++i) {
-        auto p_old = static_cast<uint32_t>(scratch_[static_cast<size_t>(i)] >> 32);
-        auto p_new = static_cast<uint32_t>(scratch_[static_cast<size_t>(i)] &
-                                           0xFFFFFFFFu);
-        if (p_old != p_new) {
-          undo_.shifts.push_back(Undo::Shift{i, p_old, p_new});
-          --count_shifts_[p_old];
-          ++count_shifts_[p_new];
-        }
-      }
-    }
-    // Global pattern counts are the histograms' column sums; integer
-    // arithmetic, so shifting them by the batch's net per-pattern movement
-    // lands on exactly the values a from-scratch resum produces.
-    MergeCountShifts();
-    RefreshScore(masked_after);
-  }
-
-  void RevertSegment() override {
-    if (undo_.rebuilt) {
-      core_.hist = undo_.hist_backup;
-    } else {
-      // Replay the logged shifts backwards (reverse order keeps multiple
-      // shifts of the same record consistent).
-      for (auto it = undo_.shifts.rbegin(); it != undo_.shifts.rend(); ++it) {
-        auto& hist = core_.hist[static_cast<size_t>(it->record)];
-        Shift(&hist, it->p_new, -1);
-        Shift(&hist, it->p_old, +1);
-      }
-    }
-    core_.counts = undo_.counts;
-    core_.score = undo_.score;
-    em_model_ = undo_.em_model;
-    warm_em_ = undo_.warm_em;
-    undo_.shifts.clear();
-  }
-
-  double Score() const override { return core_.score; }
-
- private:
-  /// One nonzero histogram bucket: agreement pattern and its pair count.
-  using PatternCount = std::pair<uint32_t, int32_t>;
-
-  struct Core {
-    /// Sorted nonzero global pattern counts (EM input).
-    std::vector<std::pair<uint32_t, double>> counts;
-    /// Per original record: sorted sparse (pattern, count) histogram of the
-    /// agreement patterns against every masked record.
-    std::vector<std::vector<PatternCount>> hist;
-    double score = 0.0;
-  };
-
-  /// One-level undo: counts/score snapshots are small; histogram changes
-  /// are replayed backwards from a sparse log of the records whose pattern
-  /// actually moved — sized by real shifts, never by n x changed rows.
-  struct Undo {
-    /// One histogram unit moved from `p_old` to `p_new` for `record`.
-    struct Shift {
-      int64_t record;
-      uint32_t p_old;
-      uint32_t p_new;
-    };
-    std::vector<std::pair<uint32_t, double>> counts;
-    double score = 0.0;
-    std::vector<Shift> shifts;
-    bool rebuilt = false;
-    std::vector<std::vector<PatternCount>> hist_backup;
-    /// Carried EM model snapshot so a reverted apply also rewinds the next
-    /// refit's warm-start point (keeps replayed walks bit-reproducible).
-    FellegiSunterModel em_model;
-    bool warm_em = false;
-  };
-
-  /// Moves `delta` units of count into `pattern`'s bucket, keeping the
-  /// histogram sorted and zero-free.
-  static void Shift(std::vector<PatternCount>* hist, uint32_t pattern,
-                    int32_t delta) {
-    auto it = std::lower_bound(
-        hist->begin(), hist->end(), pattern,
-        [](const PatternCount& entry, uint32_t p) { return entry.first < p; });
-    if (it != hist->end() && it->first == pattern) {
-      it->second += delta;
-      if (it->second == 0) hist->erase(it);
-    } else {
-      hist->insert(it, PatternCount{pattern, delta});
-    }
-  }
-
-  /// Pattern-clustered build: rows sharing an original code tuple share the
-  /// whole histogram, so one O(G) fold per *cluster* (over the masked
-  /// pattern groups) replaces n O(n) row scans, then fans out per row. The
-  /// bucket counts are integer sums of group sizes — identical to the former
-  /// per-row, per-record counting for any shard count.
-  void InitFrom(const Dataset& masked) {
-    const auto& attrs = bound_->attrs();
-    int64_t n = bound_->original().num_rows();
-    size_t num_attrs = attrs.size();
-    const PatternIndex& clusters = bound_->clusters();
-    MaskedGroups groups = MaskedGroups::Build(masked, attrs, shards_);
-    int64_t num_clusters = clusters.num_clusters();
-    int64_t num_groups = groups.num_groups();
-    // Narrow pattern spaces count into a dense per-cluster scratch; wide
-    // ones sort the cluster's (pattern, group size) pairs and merge. Both
-    // produce the same sorted nonzero buckets.
-    const bool dense_scratch =
-        num_attrs <= 12;  // 2^12 * 8 bytes of scratch per cluster
-    std::vector<std::vector<PatternCount>> cluster_hist(
-        static_cast<size_t>(num_clusters));
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      auto& hist = cluster_hist[static_cast<size_t>(c)];
-      const int32_t* cluster_codes = clusters.codes(c);
-      if (dense_scratch) {
-        std::vector<int64_t> scratch(static_cast<size_t>(1) << num_attrs, 0);
-        for (int64_t g = 0; g < num_groups; ++g) {
-          int64_t size = groups.group_size(g);
-          if (size <= 0) continue;
-          scratch[bound_->PatternOfCodes(cluster_codes, groups.codes(g))] +=
-              size;
-        }
-        for (size_t p = 0; p < scratch.size(); ++p) {
-          if (scratch[p] != 0) {
-            hist.emplace_back(static_cast<uint32_t>(p),
-                              static_cast<int32_t>(scratch[p]));
-          }
-        }
-      } else {
-        std::vector<std::pair<uint32_t, int64_t>> pairs;
-        pairs.reserve(static_cast<size_t>(num_groups));
-        for (int64_t g = 0; g < num_groups; ++g) {
-          int64_t size = groups.group_size(g);
-          if (size <= 0) continue;
-          pairs.emplace_back(
-              bound_->PatternOfCodes(cluster_codes, groups.codes(g)), size);
-        }
-        std::sort(pairs.begin(), pairs.end());
-        for (size_t j = 0; j < pairs.size();) {
-          size_t run = j;
-          int64_t count = 0;
-          while (run < pairs.size() && pairs[run].first == pairs[j].first) {
-            count += pairs[run].second;
-            ++run;
-          }
-          hist.emplace_back(pairs[j].first, static_cast<int32_t>(count));
-          j = run;
-        }
-      }
-    });
-    core_.hist.assign(static_cast<size_t>(n), {});
-    ParallelFor(0, n, [&](int64_t i) {
-      core_.hist[static_cast<size_t>(i)] =
-          cluster_hist[static_cast<size_t>(clusters.cluster_of(i))];
-    });
-    RefreshCounts();
-    // Full builds define the oracle semantics: always refit cold.
-    warm_em_ = false;
-    RefreshScore(masked);
-  }
-
-  void RefreshCounts() {
-    // Column sums over integer buckets: exact in any accumulation order.
-    std::unordered_map<uint32_t, int64_t> totals;
-    for (const auto& hist : core_.hist) {
-      for (const auto& [pattern, count] : hist) totals[pattern] += count;
-    }
-    core_.counts.clear();
-    core_.counts.reserve(totals.size());
-    for (const auto& [pattern, count] : totals) {
-      if (count != 0) {
-        core_.counts.emplace_back(pattern, static_cast<double>(count));
-      }
-    }
-    std::sort(core_.counts.begin(), core_.counts.end());
-  }
-
-  /// Applies the batch's accumulated per-pattern count movement to the
-  /// sorted global counts in one linear merge (counts are integer-valued,
-  /// so the shifted totals equal a from-scratch resum exactly).
-  void MergeCountShifts() {
-    if (count_shifts_.empty()) return;
-    std::vector<std::pair<uint32_t, double>> shifts;
-    shifts.reserve(count_shifts_.size());
-    for (const auto& [pattern, delta] : count_shifts_) {
-      if (delta != 0) shifts.emplace_back(pattern, static_cast<double>(delta));
-    }
-    count_shifts_.clear();
-    if (shifts.empty()) return;
-    std::sort(shifts.begin(), shifts.end());
-    std::vector<std::pair<uint32_t, double>> merged;
-    merged.reserve(core_.counts.size() + shifts.size());
-    size_t a = 0, b = 0;
-    while (a < core_.counts.size() || b < shifts.size()) {
-      if (b >= shifts.size() || (a < core_.counts.size() &&
-                                 core_.counts[a].first < shifts[b].first)) {
-        merged.push_back(core_.counts[a++]);
-      } else if (a >= core_.counts.size() ||
-                 shifts[b].first < core_.counts[a].first) {
-        merged.push_back(shifts[b++]);
-      } else {
-        double value = core_.counts[a].second + shifts[b].second;
-        if (value != 0.0) merged.emplace_back(core_.counts[a].first, value);
-        ++a;
-        ++b;
-      }
-    }
-    core_.counts = std::move(merged);
-  }
-
-  void RefreshScore(const Dataset& masked) {
-    const auto& attrs = bound_->attrs();
-    int64_t n = bound_->original().num_rows();
-    // Delta refits warm-start EM from the previous model (a small count
-    // shift leaves the fixed point at or next to the old one — 1–3 sweeps
-    // instead of the full budget); first fits, rebuilds and heavy segments
-    // (see kMaxWarmSegmentCells) run cold.
-    FellegiSunterModel model;
-    if (warm_em_ && warm_small_delta_) {
-      bool hit = false;
-      model =
-          FitFellegiSunterWarm(core_.counts, static_cast<int>(attrs.size()),
-                               bound_->em_iterations(), em_model_, &hit);
-      (hit ? EmWarmHitsCounter() : EmColdStartsCounter())->Increment();
-    } else {
-      model = FitFellegiSunter(core_.counts, static_cast<int>(attrs.size()),
-                               bound_->em_iterations());
-      EmColdStartsCounter()->Increment();
-    }
-    em_model_ = model;
-    warm_em_ = true;
-    // Weights for exactly the patterns alive somewhere in the file; every
-    // record's buckets (and its self pattern) are a subset of these.
-    std::vector<double> weights(core_.counts.size());
-    for (size_t idx = 0; idx < core_.counts.size(); ++idx) {
-      weights[idx] = model.PatternWeight(core_.counts[idx].first);
-    }
-    auto weight_of = [&](uint32_t pattern) {
-      auto it = std::lower_bound(
-          core_.counts.begin(), core_.counts.end(), pattern,
-          [](const std::pair<uint32_t, double>& entry, uint32_t p) {
-            return entry.first < p;
-          });
-      if (it != core_.counts.end() && it->first == pattern) {
-        return weights[static_cast<size_t>(it - core_.counts.begin())];
-      }
-      return model.PatternWeight(pattern);
-    };
-    std::vector<double> credits(static_cast<size_t>(n), 0.0);
-    ParallelFor(0, n, [&](int64_t i) {
-      const auto& hist = core_.hist[static_cast<size_t>(i)];
-      // Best weight attained by any masked record, support size, and whether
-      // the true match is in the support (scan-equivalent, see Compute).
-      double best = -1e100;
-      for (const auto& [pattern, count] : hist) {
-        if (count > 0) {
-          double w = weight_of(pattern);
-          if (w > best) best = w;
-        }
-      }
-      int64_t best_count = 0;
-      for (const auto& [pattern, count] : hist) {
-        if (count > 0 && weight_of(pattern) >= best - kEps) {
-          best_count += count;
-        }
-      }
-      uint32_t p_self = bound_->PatternOf(i, masked, i);
-      bool self_is_best = weight_of(p_self) >= best - kEps;
-      if (self_is_best && best_count > 0) {
-        credits[static_cast<size_t>(i)] = 1.0 / static_cast<double>(best_count);
-      }
-    });
-    double credit = 0.0;
-    for (double c : credits) credit += c;
-    core_.score = n > 0 ? 100.0 * credit / static_cast<double>(n) : 0.0;
-  }
-
-  const BoundPrl* bound_;
-  int shards_;
-  Core core_;
-  Undo undo_;
-  /// Previous refit's EM model — the next delta refit's warm-start point.
-  FellegiSunterModel em_model_;
-  bool warm_em_ = false;
-  /// True when the segment being applied is small enough for a warm refit
-  /// (see kMaxWarmSegmentCells); set at the top of every ApplySegment.
-  bool warm_small_delta_ = false;
-  /// Reused dense (p_old, p_new) scratch for one changed row's parallel
-  /// pattern pass (one allocation per state, not per row).
-  std::vector<uint64_t> scratch_;
-  /// Scratch for the current batch's net global-count movement.
-  std::unordered_map<uint32_t, int64_t> count_shifts_;
-};
-
-/// Cluster-level PRL state (the sharded data plane): one compressed
-/// histogram per *original cluster* instead of per row, scaled by cluster
-/// size into the global counts. A changed masked row shifts one unit in
-/// each cluster's histogram — O(C * |attrs|) per changed row instead of
-/// O(n * |attrs|) — and each row keeps only its own self pattern. All
-/// arithmetic (bucket counts, global counts, EM fit, per-cluster argmax,
-/// serial row-order credit) reproduces the row-oriented state bit for bit.
+/// arithmetic to the dense oracle) and the per-cluster argmax reads only
+/// the cluster's own nonzero buckets. Cost model: the per-changed-row
+/// histogram shifts (two pattern computes plus two sorted-bucket updates
+/// per cluster) overtake a rebuild once a batch covers roughly a fifth of
+/// the protected cells — fraction 0.2.
 class ClusteredPrlState : public MeasureState {
  public:
   ClusteredPrlState(const BoundPrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.2),
-        bound_(bound),
-        shards_(ResolveShardCount(GetDataPlane())) {
+      : MeasureState(/*default_rebuild_fraction=*/0.2), bound_(bound) {
     InitFrom(masked);
     undo_.counts = counts_;
     undo_.score = score_;
@@ -713,7 +352,9 @@ class ClusteredPrlState : public MeasureState {
       }
       // Per original cluster: shift one histogram unit from the changed
       // row's old pattern to its new one (every member row sees the same
-      // transition).
+      // transition). The (old, new) pairs land in a reused dense scratch;
+      // only clusters whose pattern actually moved are logged for Revert
+      // and folded into the global counts.
       ParallelFor(0, num_clusters, [&](int64_t c) {
         const int32_t* cluster_codes = clusters.codes(c);
         uint32_t p_old = bound_->PatternOfCodes(cluster_codes, old_codes);
@@ -745,6 +386,9 @@ class ClusteredPrlState : public MeasureState {
       p_self_[static_cast<size_t>(rd.row)] =
           bound_->PatternOfCodes(clusters.codes(self_cluster), new_codes);
     }
+    // Global pattern counts are the histograms' size-weighted column sums;
+    // integer arithmetic, so shifting them by the batch's net per-pattern
+    // movement lands on exactly the values a from-scratch resum produces.
     MergeCountShifts();
     RefreshScore();
   }
@@ -774,6 +418,7 @@ class ClusteredPrlState : public MeasureState {
   double Score() const override { return score_; }
 
  private:
+  /// One nonzero histogram bucket: agreement pattern and its pair count.
   using PatternCount = std::pair<uint32_t, int32_t>;
 
   struct PselfUndo {
@@ -781,7 +426,11 @@ class ClusteredPrlState : public MeasureState {
     uint32_t old_pattern;
   };
 
+  /// One-level undo: counts/score snapshots are small; histogram changes
+  /// are replayed backwards from a sparse log of the clusters whose pattern
+  /// actually moved.
   struct Undo {
+    /// One histogram unit moved from `p_old` to `p_new` for `cluster`.
     struct Shift {
       int64_t cluster;
       uint32_t p_old;
@@ -794,11 +443,14 @@ class ClusteredPrlState : public MeasureState {
     bool rebuilt = false;
     std::vector<std::vector<PatternCount>> hist_backup;
     std::vector<uint32_t> p_self_backup;
-    /// Carried EM model snapshot — see PrlState::Undo.
+    /// Carried EM model snapshot so a reverted apply also rewinds the next
+    /// refit's warm-start point (keeps replayed walks bit-reproducible).
     FellegiSunterModel em_model;
     bool warm_em = false;
   };
 
+  /// Moves `delta` units of count into `pattern`'s bucket, keeping the
+  /// histogram sorted and zero-free.
   static void Shift(std::vector<PatternCount>* hist, uint32_t pattern,
                     int32_t delta) {
     auto it = std::lower_bound(
@@ -812,15 +464,22 @@ class ClusteredPrlState : public MeasureState {
     }
   }
 
+  /// Pattern-clustered build: one O(G) fold per *cluster* over the masked
+  /// pattern groups instead of n O(n) row scans. The bucket counts are
+  /// integer sums of group sizes, identical for any shard count.
   void InitFrom(const Dataset& masked) {
     const auto& attrs = bound_->attrs();
     int64_t n = bound_->original().num_rows();
     size_t num_attrs = attrs.size();
     const PatternIndex& clusters = bound_->clusters();
-    MaskedGroups groups = MaskedGroups::Build(masked, attrs, shards_);
+    MaskedGroups groups = MaskedGroups::Build(masked, attrs);
     int64_t num_clusters = clusters.num_clusters();
     int64_t num_groups = groups.num_groups();
-    const bool dense_scratch = num_attrs <= 12;
+    // Narrow pattern spaces count into a dense per-cluster scratch; wide
+    // ones sort the cluster's (pattern, group size) pairs and merge. Both
+    // produce the same sorted nonzero buckets.
+    const bool dense_scratch =
+        num_attrs <= 12;  // 2^12 * 8 bytes of scratch per cluster
     cluster_hist_.assign(static_cast<size_t>(num_clusters), {});
     ParallelFor(0, num_clusters, [&](int64_t c) {
       auto& hist = cluster_hist_[static_cast<size_t>(c)];
@@ -894,6 +553,9 @@ class ClusteredPrlState : public MeasureState {
     std::sort(counts_.begin(), counts_.end());
   }
 
+  /// Applies the batch's accumulated per-pattern count movement to the
+  /// sorted global counts in one linear merge (counts are integer-valued,
+  /// so the shifted totals equal a from-scratch resum exactly).
   void MergeCountShifts() {
     if (count_shifts_.empty()) return;
     std::vector<std::pair<uint32_t, double>> shifts;
@@ -929,10 +591,12 @@ class ClusteredPrlState : public MeasureState {
     int64_t n = bound_->original().num_rows();
     int64_t num_clusters = clusters.num_clusters();
     size_t num_attrs = attrs.size();
-    // Warm-start delta refits exactly as in PrlState — identical counts,
-    // identical carried models and the same segment-size gate on both planes
-    // keep the refit arithmetic (and thus the cross-plane bitwise equality)
-    // intact.
+    // Delta refits warm-start EM from the previous model (a small count
+    // shift leaves the fixed point at or next to the old one — 1–3 sweeps
+    // instead of the full budget); first fits, rebuilds and heavy segments
+    // (see kMaxWarmSegmentCells) run cold. The choice reads only the
+    // segment and the carried model, so a walk replays bit-identically at
+    // any shard count.
     FellegiSunterModel model;
     if (warm_em_ && warm_small_delta_) {
       bool hit = false;
@@ -946,6 +610,8 @@ class ClusteredPrlState : public MeasureState {
     }
     em_model_ = model;
     warm_em_ = true;
+    // Weights for exactly the patterns alive somewhere in the file; every
+    // cluster's buckets (and each row's self pattern) are a subset of these.
     std::vector<double> weights(counts_.size());
     for (size_t idx = 0; idx < counts_.size(); ++idx) {
       weights[idx] = model.PatternWeight(counts_[idx].first);
@@ -961,8 +627,9 @@ class ClusteredPrlState : public MeasureState {
       }
       return model.PatternWeight(pattern);
     };
-    // Per-cluster best weight and support (identical bucket scan to the
-    // row-oriented state — a cluster's histogram is each member's).
+    // Per-cluster best weight attained by any masked record and its support
+    // size (scan-equivalent to Compute's per-record argmax — a cluster's
+    // histogram is each member's).
     cluster_best_.assign(static_cast<size_t>(num_clusters), 0.0);
     cluster_best_count_.assign(static_cast<size_t>(num_clusters), 0);
     ParallelFor(0, num_clusters, [&](int64_t c) {
@@ -1007,8 +674,10 @@ class ClusteredPrlState : public MeasureState {
   }
 
   const BoundPrl* bound_;
-  int shards_;
+  /// Per original cluster: sorted sparse (pattern, count) histogram of the
+  /// agreement patterns against every masked record.
   std::vector<std::vector<PatternCount>> cluster_hist_;
+  /// Sorted nonzero global pattern counts (EM input).
   std::vector<std::pair<uint32_t, double>> counts_;
   std::vector<uint32_t> p_self_;
   double score_ = 0.0;
@@ -1016,7 +685,8 @@ class ClusteredPrlState : public MeasureState {
   /// Previous refit's EM model — the next delta refit's warm-start point.
   FellegiSunterModel em_model_;
   bool warm_em_ = false;
-  /// Mirrors PrlState::warm_small_delta_ — same segment, same gate.
+  /// True when the segment being applied is small enough for a warm refit
+  /// (see kMaxWarmSegmentCells); set at the top of every ApplySegment.
   bool warm_small_delta_ = false;
   // Per-apply scratch, reused across generations.
   std::vector<uint64_t> scratch_;
@@ -1032,10 +702,7 @@ std::unique_ptr<MeasureState> BoundPrl::BindState(const Dataset& masked) const {
   // record actually meets (<= n each), so the state serves any attribute
   // count the measure accepts — no dense-layout attribute cap, no memory
   // cliff.
-  if (GetDataPlane().sharded) {
-    return std::make_unique<ClusteredPrlState>(this, masked);
-  }
-  return std::make_unique<PrlState>(this, masked);
+  return std::make_unique<ClusteredPrlState>(this, masked);
 }
 
 }  // namespace

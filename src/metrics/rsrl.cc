@@ -26,8 +26,7 @@ class BoundRsrl : public BoundMeasure {
     for (int attr : attrs_) {
       original_midranks_.push_back(CategoryMidranks(original, attr));
     }
-    clusters_ = PatternIndex::Build(original, attrs,
-                                    ResolveShardCount(GetDataPlane()));
+    clusters_ = PatternIndex::Build(original, attrs);
   }
 
   double Compute(const Dataset& masked) const override {
@@ -87,420 +86,33 @@ class BoundRsrl : public BoundMeasure {
   PatternIndex clusters_;
 };
 
-/// RSRL's attack state has two masked-side dependencies: record distances
-/// (row-scoped, like DBRL) and the per-attribute candidate windows, which
-/// hinge on masked mid-ranks and therefore on the masked category counts.
-/// A delta (a) perturbs d(., j) for the changed rows j, and (b) may flip the
-/// candidate status of whole (original-category, masked-category) blocks
-/// when a mid-rank crosses the window boundary. Both effects are applied
-/// surgically; records whose best-match support empties are rescanned, and
-/// batches whose flip blocks cover too many pairs fall back to a rebuild.
-/// Cost model: like DBRL plus the flip-block sweeps and candidate-matrix
-/// refreshes, so the rebuild point sits a bit earlier — fraction 0.12 (an
-/// n²/8 pair-coverage guard below also rebuilds when the mid-rank flips
-/// alone get rebuild-sized).
-class RsrlState : public MeasureState {
- public:
-  RsrlState(const BoundRsrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.12),
-        bound_(bound),
-        attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())),
-        shards_(ResolveShardCount(GetDataPlane())) {
-    const auto& attrs = bound_->attrs();
-    const Dataset& original = bound_->original();
-    orig_rows_by_code_.resize(attrs.size());
-    for (size_t k = 0; k < attrs.size(); ++k) {
-      orig_rows_by_code_[k].resize(Cardinality(k));
-      const auto& col = original.column(attrs[k]);
-      for (int64_t r = 0; r < original.num_rows(); ++r) {
-        orig_rows_by_code_[k][static_cast<size_t>(col[static_cast<size_t>(r)])]
-            .push_back(r);
-      }
-    }
-    InitFrom(masked);
-    undo_.counts = core_.counts;
-    undo_.midranks = core_.midranks;
-    undo_.cand = core_.cand;
-    undo_.rows = core_.rows;
-    undo_.score = core_.score;
-  }
-
-  void ApplySegment(const Dataset& masked_after,
-                    const SegmentDelta& segment) override {
-    // One-level undo: the flat structures are snapshotted (cheap memcpys of
-    // small tables plus the n-sized row-best array); the allocation-heavy
-    // per-code row lists are reverted by replaying their moves backwards.
-    undo_.counts = core_.counts;
-    undo_.midranks = core_.midranks;
-    undo_.cand = core_.cand;
-    undo_.rows = core_.rows;
-    undo_.score = core_.score;
-    undo_.moves.clear();
-    undo_.rebuilt = false;
-    if (segment.num_cells() >= full_rebuild_threshold()) {
-      RebuildWithUndo(masked_after);
-      return;
-    }
-    const auto& row_deltas = segment.rows();
-    if (row_deltas.empty()) return;
-
-    const auto& attrs = bound_->attrs();
-    int64_t n = bound_->original().num_rows();
-
-    // 1. Fold the deltas into the masked marginals and row lists.
-    std::vector<uint8_t> attr_changed(attrs.size(), 0);
-    for (const RowDelta& rd : row_deltas) {
-      for (const auto& cell : rd.cells) {
-        int pos = attr_pos_[static_cast<size_t>(cell.attr)];
-        if (pos < 0 || cell.old_code == cell.new_code) continue;
-        auto k = static_cast<size_t>(pos);
-        core_.counts[k][static_cast<size_t>(cell.old_code)] -= 1;
-        core_.counts[k][static_cast<size_t>(cell.new_code)] += 1;
-        MoveRow(k, rd.row, cell.old_code, cell.new_code);
-        undo_.moves.push_back(Undo::Move{k, rd.row, cell.old_code, cell.new_code});
-        attr_changed[k] = 1;
-      }
-    }
-
-    // 2. Re-derive mid-ranks and candidate matrices for the touched
-    //    attributes, recording which (orig cat, masked cat) blocks flipped.
-    std::vector<std::vector<uint8_t>> flipped(attrs.size());
-    std::vector<std::vector<std::pair<int32_t, int32_t>>> flips(attrs.size());
-    int64_t affected_pairs = 0;
-    for (size_t k = 0; k < attrs.size(); ++k) {
-      if (!attr_changed[k]) continue;
-      core_.midranks[k] = MidranksFromCounts(core_.counts[k]);
-      auto card = static_cast<size_t>(Cardinality(k));
-      flipped[k].assign(card * card, 0);
-      const auto& orig_ranks = bound_->original_midranks(k);
-      double window = bound_->window();
-      for (size_t o = 0; o < card; ++o) {
-        for (size_t m = 0; m < card; ++m) {
-          uint8_t now =
-              std::fabs(orig_ranks[o] - core_.midranks[k][m]) <= window;
-          if (now != core_.cand[k][o * card + m]) {
-            flipped[k][o * card + m] = 1;
-            flips[k].emplace_back(static_cast<int32_t>(o),
-                                  static_cast<int32_t>(m));
-            affected_pairs +=
-                static_cast<int64_t>(orig_rows_by_code_[k][o].size()) *
-                static_cast<int64_t>(core_.rows_by_code[k][m].size());
-            core_.cand[k][o * card + m] = now;
-          }
-        }
-      }
-    }
-
-    // Fallback: flip blocks covering a large share of all pairs cost as much
-    // as a rebuild, so rebuild (which also refreshes every distance).
-    int64_t touched_estimate =
-        affected_pairs + n * static_cast<int64_t>(row_deltas.size());
-    if (touched_estimate > n * n / 8) {
-      UnwindMoves();  // restore pre-apply row lists before backing them up
-      RebuildWithUndo(masked_after);
-      return;
-    }
-
-    std::vector<uint8_t> changed_row(static_cast<size_t>(n), 0);
-    for (const RowDelta& rd : row_deltas) {
-      changed_row[static_cast<size_t>(rd.row)] = 1;
-    }
-    std::vector<uint8_t> rescan(static_cast<size_t>(n), 0);
-
-    // 3. Changed rows: remove each one's old contribution (old codes, old
-    //    candidate matrices) and fold in the new one, per original record.
-    ParallelFor(0, n, [&](int64_t i) {
-      LinkageRowBest& row = core_.rows[static_cast<size_t>(i)];
-      for (const RowDelta& rd : row_deltas) {
-        if (rescan[static_cast<size_t>(i)]) break;
-        int64_t j = rd.row;
-        bool cand_old = true, cand_new = true;
-        double sum_old = 0.0, sum_new = 0.0;
-        for (size_t k = 0; k < attrs.size(); ++k) {
-          auto card = static_cast<size_t>(Cardinality(k));
-          auto o = static_cast<size_t>(
-              bound_->original().Code(i, attrs[k]));
-          auto m_old =
-              static_cast<size_t>(rd.OldCode(masked_after, attrs[k]));
-          auto m_new = static_cast<size_t>(masked_after.Code(j, attrs[k]));
-          cand_old = cand_old && undo_.cand[k][o * card + m_old];
-          cand_new = cand_new && core_.cand[k][o * card + m_new];
-          sum_old += bound_->tables().At(k, static_cast<int32_t>(o),
-                                         static_cast<int32_t>(m_old));
-          sum_new += bound_->tables().At(k, static_cast<int32_t>(o),
-                                         static_cast<int32_t>(m_new));
-        }
-        double denom = static_cast<double>(attrs.size());
-        if (cand_old) {
-          LinkageRemove(&row, sum_old / denom, j == i,
-                        &rescan[static_cast<size_t>(i)]);
-        }
-        if (!rescan[static_cast<size_t>(i)] && cand_new) {
-          LinkageAdd(&row, sum_new / denom, j == i);
-        }
-      }
-    });
-
-    // 4. Flip blocks: pairs whose candidacy toggled through a mid-rank shift
-    //    alone (unchanged rows). Each (i, j) pair is handled once, at its
-    //    first flipped attribute.
-    for (size_t k = 0; k < attrs.size(); ++k) {
-      for (const auto& [o, m] : flips[k]) {
-        for (int64_t j : core_.rows_by_code[k][static_cast<size_t>(m)]) {
-          if (changed_row[static_cast<size_t>(j)]) continue;
-          for (int64_t i : orig_rows_by_code_[k][static_cast<size_t>(o)]) {
-            if (rescan[static_cast<size_t>(i)]) continue;
-            if (!FirstFlippedAttr(flipped, i, j, masked_after, k)) continue;
-            bool cand_old = AllCand(undo_.cand, i, j, masked_after);
-            bool cand_new = AllCand(core_.cand, i, j, masked_after);
-            if (cand_old == cand_new) continue;
-            double d = bound_->tables().RecordDistance(bound_->original(), i,
-                                                       masked_after, j);
-            LinkageRowBest& row = core_.rows[static_cast<size_t>(i)];
-            if (cand_old) {
-              LinkageRemove(&row, d, j == i, &rescan[static_cast<size_t>(i)]);
-            } else {
-              LinkageAdd(&row, d, j == i);
-            }
-          }
-        }
-      }
-    }
-
-    // 5. Rescan records whose support emptied, against the new world.
-    ParallelFor(0, n, [&](int64_t i) {
-      if (rescan[static_cast<size_t>(i)]) {
-        core_.rows[static_cast<size_t>(i)] = ScanRow(masked_after, i);
-      }
-    });
-    core_.score = LinkageCreditScore(core_.rows);
-  }
-
-  void RevertSegment() override {
-    if (undo_.rebuilt) {
-      core_.rows_by_code = undo_.lists_backup;
-      core_.pos_of_row = undo_.pos_backup;
-    } else {
-      UnwindMoves();
-    }
-    core_.counts = undo_.counts;
-    core_.midranks = undo_.midranks;
-    core_.cand = undo_.cand;
-    core_.rows = undo_.rows;
-    core_.score = undo_.score;
-  }
-
-  double Score() const override { return core_.score; }
-
- private:
-  struct Core {
-    std::vector<std::vector<int64_t>> counts;    ///< masked marginals per attr
-    std::vector<std::vector<double>> midranks;   ///< masked mid-ranks per attr
-    std::vector<std::vector<uint8_t>> cand;      ///< [k][o*card+m] in-window
-    std::vector<std::vector<std::vector<int64_t>>> rows_by_code;
-    std::vector<std::vector<int64_t>> pos_of_row;
-    std::vector<LinkageRowBest> rows;
-    double score = 0.0;
-  };
-
-  struct Undo {
-    std::vector<std::vector<int64_t>> counts;
-    std::vector<std::vector<double>> midranks;
-    std::vector<std::vector<uint8_t>> cand;
-    std::vector<LinkageRowBest> rows;
-    double score = 0.0;
-    struct Move {
-      size_t k;
-      int64_t row;
-      int32_t old_code;
-      int32_t new_code;
-    };
-    std::vector<Move> moves;
-    bool rebuilt = false;
-    std::vector<std::vector<std::vector<int64_t>>> lists_backup;
-    std::vector<std::vector<int64_t>> pos_backup;
-  };
-
-  /// Replays this apply's row-list moves backwards (list contents return to
-  /// the pre-apply state; bucket order may differ, which only permutes
-  /// tie-equivalent event order).
-  void UnwindMoves() {
-    for (auto it = undo_.moves.rbegin(); it != undo_.moves.rend(); ++it) {
-      MoveRow(it->k, it->row, it->new_code, it->old_code);
-    }
-    undo_.moves.clear();
-  }
-
-  /// Full-recompute fallback that stays revertible: the row lists (rebuilt
-  /// from scratch by InitFrom) are backed up in full for Revert.
-  void RebuildWithUndo(const Dataset& masked_after) {
-    undo_.rebuilt = true;
-    undo_.lists_backup = core_.rows_by_code;
-    undo_.pos_backup = core_.pos_of_row;
-    InitFrom(masked_after);
-  }
-
-  int Cardinality(size_t k) const {
-    return bound_->original().schema().attribute(bound_->attrs()[k]).cardinality();
-  }
-
-  void InitFrom(const Dataset& masked) {
-    const auto& attrs = bound_->attrs();
-    int64_t n = bound_->original().num_rows();
-    core_.counts.resize(attrs.size());
-    core_.midranks.resize(attrs.size());
-    core_.cand.resize(attrs.size());
-    core_.rows_by_code.resize(attrs.size());
-    core_.pos_of_row.resize(attrs.size());
-    for (size_t k = 0; k < attrs.size(); ++k) {
-      core_.counts[k] = CategoryCounts(masked, attrs[k]);
-      core_.midranks[k] = MidranksFromCounts(core_.counts[k]);
-      auto card = static_cast<size_t>(Cardinality(k));
-      core_.cand[k].assign(card * card, 0);
-      const auto& orig_ranks = bound_->original_midranks(k);
-      for (size_t o = 0; o < card; ++o) {
-        for (size_t m = 0; m < card; ++m) {
-          core_.cand[k][o * card + m] =
-              std::fabs(orig_ranks[o] - core_.midranks[k][m]) <=
-              bound_->window();
-        }
-      }
-      core_.rows_by_code[k].assign(card, {});
-      core_.pos_of_row[k].assign(static_cast<size_t>(n), 0);
-      const auto& col = masked.column(attrs[k]);
-      for (int64_t r = 0; r < n; ++r) {
-        auto code = static_cast<size_t>(col[static_cast<size_t>(r)]);
-        core_.pos_of_row[k][static_cast<size_t>(r)] =
-            static_cast<int64_t>(core_.rows_by_code[k][code].size());
-        core_.rows_by_code[k][code].push_back(r);
-      }
-    }
-    // Clustered best-match build: rows sharing an original code tuple get
-    // one candidate-filtered scan over the masked pattern groups (O(C*G*A)
-    // instead of the per-row O(n^2*A) scans); the per-row fanout then
-    // reconstructs the self flag from the record's own distance. Same
-    // support sets as ScanRow whenever distinct distances are separated by
-    // more than kLinkageEps (the generic case for table-lookup distances).
-    MaskedGroups groups = MaskedGroups::Build(masked, attrs, shards_);
-    const PatternIndex& clusters = bound_->clusters();
-    int64_t num_clusters = clusters.num_clusters();
-    int64_t num_groups = groups.num_groups();
-    std::vector<LinkageRowBest> cluster_best(static_cast<size_t>(num_clusters));
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      const int32_t* orig_codes = clusters.codes(c);
-      LinkageRowBest best;
-      for (int64_t g = 0; g < num_groups; ++g) {
-        int64_t size = groups.group_size(g);
-        if (size <= 0) continue;
-        const int32_t* mask_codes = groups.codes(g);
-        bool candidate = true;
-        for (size_t k = 0; k < attrs.size(); ++k) {
-          auto card = static_cast<size_t>(Cardinality(k));
-          if (!core_.cand[k][static_cast<size_t>(orig_codes[k]) * card +
-                             static_cast<size_t>(mask_codes[k])]) {
-            candidate = false;
-            break;
-          }
-        }
-        if (!candidate) continue;
-        double d = bound_->tables().RecordDistanceCodes(orig_codes, mask_codes);
-        LinkageAddN(&best, d, size);
-      }
-      cluster_best[static_cast<size_t>(c)] = best;
-    });
-    core_.rows.assign(static_cast<size_t>(n), LinkageRowBest{});
-    ParallelFor(0, n, [&](int64_t i) {
-      auto c = static_cast<int64_t>(clusters.cluster_of(i));
-      LinkageRowBest row = cluster_best[static_cast<size_t>(c)];
-      if (row.count > 0 && AllCand(core_.cand, i, i, masked)) {
-        double d_self = bound_->tables().RecordDistanceCodes(
-            clusters.codes(c), groups.codes(groups.group_of(i)));
-        row.self = d_self <= row.best + kLinkageEps;
-      }
-      core_.rows[static_cast<size_t>(i)] = row;
-    });
-    core_.score = LinkageCreditScore(core_.rows);
-  }
-
-  /// Fresh candidate-filtered scan of original record `i` (final truth).
-  LinkageRowBest ScanRow(const Dataset& masked, int64_t i) const {
-    int64_t n = bound_->original().num_rows();
-    LinkageRowBest row;
-    for (int64_t j = 0; j < n; ++j) {
-      if (!AllCand(core_.cand, i, j, masked)) continue;
-      double d =
-          bound_->tables().RecordDistance(bound_->original(), i, masked, j);
-      LinkageAdd(&row, d, j == i);
-    }
-    return row;
-  }
-
-  bool AllCand(const std::vector<std::vector<uint8_t>>& cand, int64_t i,
-               int64_t j, const Dataset& masked) const {
-    const auto& attrs = bound_->attrs();
-    for (size_t k = 0; k < attrs.size(); ++k) {
-      auto card = static_cast<size_t>(Cardinality(k));
-      auto o = static_cast<size_t>(bound_->original().Code(i, attrs[k]));
-      auto m = static_cast<size_t>(masked.Code(j, attrs[k]));
-      if (!cand[k][o * card + m]) return false;
-    }
-    return true;
-  }
-
-  /// True when `k` is the first attribute whose flip block covers (i, j).
-  bool FirstFlippedAttr(const std::vector<std::vector<uint8_t>>& flipped,
-                        int64_t i, int64_t j, const Dataset& masked,
-                        size_t k) const {
-    const auto& attrs = bound_->attrs();
-    for (size_t k2 = 0; k2 < k; ++k2) {
-      if (flipped[k2].empty()) continue;
-      auto card = static_cast<size_t>(Cardinality(k2));
-      auto o = static_cast<size_t>(bound_->original().Code(i, attrs[k2]));
-      auto m = static_cast<size_t>(masked.Code(j, attrs[k2]));
-      if (flipped[k2][o * card + m]) return false;
-    }
-    return true;
-  }
-
-  void MoveRow(size_t k, int64_t row, int32_t old_code, int32_t new_code) {
-    auto& old_list = core_.rows_by_code[k][static_cast<size_t>(old_code)];
-    auto& pos = core_.pos_of_row[k];
-    auto at = static_cast<size_t>(pos[static_cast<size_t>(row)]);
-    int64_t moved = old_list.back();
-    old_list[at] = moved;
-    pos[static_cast<size_t>(moved)] = static_cast<int64_t>(at);
-    old_list.pop_back();
-    auto& new_list = core_.rows_by_code[k][static_cast<size_t>(new_code)];
-    pos[static_cast<size_t>(row)] = static_cast<int64_t>(new_list.size());
-    new_list.push_back(row);
-  }
-
-  const BoundRsrl* bound_;
-  std::vector<int> attr_pos_;
-  int shards_;
-  std::vector<std::vector<std::vector<int64_t>>> orig_rows_by_code_;
-  Core core_;
-  Undo undo_;
-};
-
-/// Cluster-level RSRL state (the sharded data plane): like ClusteredDbrlState
-/// it keeps one `LinkageRowBest` per *original pattern cluster* plus each
-/// row's self distance, but adds RSRL's candidate-window maintenance. Both
-/// masked-side dependencies collapse to pattern granularity: the changed-row
-/// fold removes/adds whole tuples per cluster under the old/new candidate
-/// matrices, and a mid-rank flip block (o, m) at attribute k toggles whole
-/// masked groups against whole original clusters — folded with multiplicity
-/// (group size minus the changed rows already handled row-wise). Per delta
-/// the work is O(C·changed + flips·C_o·G_m + n) instead of O(n·changed +
-/// flips·n_o·n_m + n·A); the n²/8 pair-coverage guard and the rebuild
-/// fraction match the row state, so both planes take the same paths.
+/// Cluster-level RSRL state. RSRL's attack state has two masked-side
+/// dependencies: record distances (row-scoped, like DBRL) and the
+/// per-attribute candidate windows, which hinge on masked mid-ranks and
+/// therefore on the masked category counts. A delta (a) perturbs d(., j)
+/// for the changed rows j, and (b) may flip the candidate status of whole
+/// (original-category, masked-category) blocks when a mid-rank crosses the
+/// window boundary.
+///
+/// Like ClusteredDbrlState it keeps one `LinkageRowBest` per *original
+/// pattern cluster* plus each row's self distance, and both effects
+/// collapse to pattern granularity: the changed-row fold removes/adds whole
+/// tuples per cluster under the old/new candidate matrices, and a flip
+/// block (o, m) at attribute k toggles whole masked groups against whole
+/// original clusters — folded with multiplicity (group size minus the
+/// changed rows already handled row-wise). Clusters whose best-match
+/// support empties are rescanned. Per delta the work is O(C·changed +
+/// flips·C_o·G_m + n) instead of a per-row layout's O(n·changed +
+/// flips·n_o·n_m + n·A). Cost model: like DBRL plus the flip-block sweeps
+/// and candidate-matrix refreshes, so the rebuild point sits a bit earlier
+/// — fraction 0.12 (an n²/8 pair-coverage guard also rebuilds when the
+/// mid-rank flips alone get rebuild-sized).
 class ClusteredRsrlState : public MeasureState {
  public:
   ClusteredRsrlState(const BoundRsrl* bound, const Dataset& masked)
       : MeasureState(/*default_rebuild_fraction=*/0.12),
         bound_(bound),
-        attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())),
-        shards_(ResolveShardCount(GetDataPlane())) {
+        attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())) {
     const auto& attrs = bound_->attrs();
     const PatternIndex& clusters = bound_->clusters();
     orig_counts_.resize(attrs.size());
@@ -563,9 +175,9 @@ class ClusteredRsrlState : public MeasureState {
     }
 
     // 2. Re-derive mid-ranks and candidate matrices for the touched
-    //    attributes, recording flips. The pair estimate reads the marginals
-    //    directly (the same numbers the row state keeps as list sizes), so
-    //    both planes make the identical rebuild decision.
+    //    attributes, recording flips. The pair estimate multiplies the
+    //    original and masked marginals (rows holding each code on either
+    //    side), so the rebuild decision depends only on the counts.
     std::vector<std::vector<uint8_t>> flipped(num_attrs);
     std::vector<std::vector<std::pair<int32_t, int32_t>>> flips(num_attrs);
     int64_t affected_pairs = 0;
@@ -591,6 +203,8 @@ class ClusteredRsrlState : public MeasureState {
         }
       }
     }
+    // Fallback: flip blocks covering a large share of all pairs cost as much
+    // as a rebuild, so rebuild (which also refreshes every distance).
     int64_t touched_estimate =
         affected_pairs + n * static_cast<int64_t>(row_deltas.size());
     if (touched_estimate > n * n / 8) {
@@ -641,10 +255,10 @@ class ClusteredRsrlState : public MeasureState {
         }
         double denom = static_cast<double>(num_attrs);
         if (cand_old) {
-          LinkageRemove(&row, sum_old / denom, false, needs_rescan);
+          LinkageRemoveN(&row, sum_old / denom, 1, needs_rescan);
         }
         if (!*needs_rescan && cand_new) {
-          LinkageAdd(&row, sum_new / denom, false);
+          LinkageAddN(&row, sum_new / denom, 1);
         }
       }
     });
@@ -799,7 +413,7 @@ class ClusteredRsrlState : public MeasureState {
         }
       }
     }
-    groups_ = MaskedGroups::Build(masked, attrs, shards_);
+    groups_ = MaskedGroups::Build(masked, attrs);
     RebuildGroupsByCode();
     const PatternIndex& clusters = bound_->clusters();
     int64_t num_clusters = clusters.num_clusters();
@@ -841,8 +455,8 @@ class ClusteredRsrlState : public MeasureState {
   /// Serial per-row credit in row order — float-for-float the same sum as
   /// `LinkageCreditScore` over the equivalent per-row records. The self link
   /// additionally requires the row's own pair to sit inside the candidate
-  /// windows (the cached self_ok_ bit), exactly like the row state's
-  /// clustered init fanout.
+  /// windows (the cached self_ok_ bit), exactly like Compute's candidate
+  /// filter on j == i.
   void RefreshScore() {
     const PatternIndex& clusters = bound_->clusters();
     int64_t n = bound_->original().num_rows();
@@ -910,7 +524,6 @@ class ClusteredRsrlState : public MeasureState {
 
   const BoundRsrl* bound_;
   std::vector<int> attr_pos_;
-  int shards_;
   std::vector<std::vector<int64_t>> orig_counts_;  ///< original marginals
   /// Static: clusters holding original code o at attribute k.
   std::vector<std::vector<std::vector<int32_t>>> clusters_by_code_;
@@ -930,10 +543,7 @@ class ClusteredRsrlState : public MeasureState {
 };
 
 std::unique_ptr<MeasureState> BoundRsrl::BindState(const Dataset& masked) const {
-  if (GetDataPlane().sharded) {
-    return std::make_unique<ClusteredRsrlState>(this, masked);
-  }
-  return std::make_unique<RsrlState>(this, masked);
+  return std::make_unique<ClusteredRsrlState>(this, masked);
 }
 
 }  // namespace

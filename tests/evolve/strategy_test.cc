@@ -13,7 +13,6 @@
 
 #include "../test_util.h"
 #include "api/session.h"
-#include "common/task_scheduler.h"
 #include "core/engine.h"
 #include "datagen/generator.h"
 #include "evolve/strategy.h"
@@ -67,19 +66,17 @@ struct StrategyFixture {
 
 /// Runs `strategy` on a private scheduler with `threads` workers, so the
 /// strategy's internal ParallelFor loops split across exactly that many
-/// workers (1 = fully serial execution).
+/// workers (1 = fully serial execution) and its measure states shard their
+/// builds `threads` ways.
 Result<core::EvolutionResult> RunOnScheduler(
     int threads, const EvolutionStrategy& strategy,
     const StrategyFixture& fixture, const core::GaConfig& config,
     std::vector<core::Individual> initial) {
-  TaskScheduler scheduler(threads);
   Result<core::EvolutionResult> result(Status::Internal("not executed"));
-  TaskScheduler::Group group;
-  scheduler.Submit(&group, [&] {
+  evocat::testing::RunOnScheduler(threads, [&] {
     result = strategy.Run(fixture.evaluator.get(), config, std::move(initial),
                           nullptr);
   });
-  scheduler.Wait(&group);
   return result;
 }
 
@@ -181,11 +178,12 @@ TEST(SteadyStateStrategyTest, DeterministicAcross1And4Workers) {
 }
 
 TEST(SteadyStateStrategyTest, DataPlaneShardCountsAreBitIdentical) {
-  // A full GA run under the packed + sharded data plane at shard counts
-  // {1, 3, 8} must match the legacy row-oriented plane bit-for-bit: same
-  // history, same accepted offspring, same best individual. The run's
-  // crossovers regularly exceed the measures' rebuild thresholds, so the
-  // rebuild-sized path is covered too.
+  // A full GA run on schedulers with 1, 3 and 8 workers — so every state
+  // build shards 1, 3 and 8 ways — must match bit-for-bit: same history,
+  // same accepted offspring, same best individual. The run's crossovers
+  // regularly exceed the measures' rebuild thresholds, so the rebuild-sized
+  // path is covered too.
+  StrategyFixture fixture;
   core::GaConfig config;
   config.generations = 25;
   config.seed = 77;
@@ -193,21 +191,13 @@ TEST(SteadyStateStrategyTest, DataPlaneShardCountsAreBitIdentical) {
                       .Create("steady_state", {{"lambda", "4"}})
                       .ValueOrDie();
 
-  auto run_with = [&](const metrics::DataPlaneConfig& plane) {
-    evocat::testing::DataPlaneGuard guard(plane);
-    StrategyFixture fixture;  // evaluator + states bind under `plane`
-    return std::move(strategy->Run(fixture.evaluator.get(), config,
-                                   fixture.SeedPopulation(9), nullptr))
-        .ValueOrDie();
-  };
-
-  auto baseline = run_with(metrics::DataPlaneConfig{});
-  for (int shards : {1, 3, 8}) {
-    metrics::DataPlaneConfig plane;
-    plane.sharded = true;
-    plane.packed = true;
-    plane.shards = shards;
-    auto result = run_with(plane);
+  auto baseline = std::move(RunOnScheduler(1, *strategy, fixture, config,
+                                           fixture.SeedPopulation(9)))
+                      .ValueOrDie();
+  for (int workers : {3, 8}) {
+    auto result = std::move(RunOnScheduler(workers, *strategy, fixture,
+                                           config, fixture.SeedPopulation(9)))
+                      .ValueOrDie();
     ExpectIdenticalResults(baseline, result);
   }
 }

@@ -25,6 +25,7 @@
 #include "metrics/ebil.h"
 #include "metrics/fitness.h"
 #include "metrics/interval_disclosure.h"
+#include "metrics/plane.h"
 #include "metrics/prl.h"
 #include "metrics/rsrl.h"
 #include "protection/pram.h"
@@ -420,61 +421,68 @@ std::vector<std::unique_ptr<Measure>> AllMeasuresForShardTests() {
 }
 
 /// A fixed walk (mutation batches, a revert, then a rebuild-sized crossover
-/// segment and its revert) under the given data plane; returns every score
-/// the state reported. Bit-identical traces across planes is the contract.
+/// segment and its revert), bound and run on a private scheduler with
+/// `workers` threads — so every shard count inside resolves to `workers`.
+/// Every score is checked against a from-scratch Compute of the file it
+/// describes; the returned trace must not depend on `workers`.
 std::vector<double> ShardWalk(const Measure& measure, const World& world,
-                              const Dataset& donor,
-                              const DataPlaneConfig& config) {
-  evocat::testing::DataPlaneGuard guard(config);
-  auto bound =
-      std::move(measure.Bind(world.original, world.attrs)).ValueOrDie();
-  Dataset masked = world.masked.Clone();
-  auto state = bound->BindState(masked);
-  std::vector<double> scores{state->Score()};
-  Rng rng(97);
-  for (int step = 0; step < 8; ++step) {
-    auto deltas = RandomBatch(&masked, world.attrs, &rng, 5);
-    state->ApplyDelta(masked, deltas);
-    scores.push_back(state->Score());
-    if (step == 3) {
-      state->Revert();
+                              const Dataset& donor, int workers) {
+  std::vector<double> scores;
+  evocat::testing::RunOnScheduler(workers, [&] {
+    auto bound =
+        std::move(measure.Bind(world.original, world.attrs)).ValueOrDie();
+    Dataset masked = world.masked.Clone();
+    auto state = bound->BindState(masked);
+    auto record = [&](const Dataset& file, const char* what) {
       scores.push_back(state->Score());
+      EXPECT_NEAR(state->Score(), bound->Compute(file), kTol)
+          << measure.Name() << " on " << workers << " workers, " << what
+          << " at score " << scores.size() - 1;
+    };
+    record(masked, "bind");
+    Rng rng(97);
+    for (int step = 0; step < 8; ++step) {
+      Dataset before = masked.Clone();
+      auto deltas = RandomBatch(&masked, world.attrs, &rng, 5);
       state->ApplyDelta(masked, deltas);
+      record(masked, "apply");
+      if (step == 3) {
+        state->Revert();
+        record(before, "revert");
+        state->ApplyDelta(masked, deltas);
+      }
     }
-  }
-  core::GenomeLayout layout(world.attrs, world.original.num_rows());
-  int64_t genome = layout.Length();
-  int64_t length = std::max<int64_t>(1, genome * 6 / 10);
-  auto segment =
-      core::CrossoverSegmentSwap(layout, donor, &masked, 0, length - 1);
-  state->ApplySegment(masked, segment);
-  scores.push_back(state->Score());
-  state->RevertSegment();
-  scores.push_back(state->Score());
+    core::GenomeLayout layout(world.attrs, world.original.num_rows());
+    int64_t genome = layout.Length();
+    int64_t length = std::max<int64_t>(1, genome * 6 / 10);
+    Dataset before = masked.Clone();
+    auto segment =
+        core::CrossoverSegmentSwap(layout, donor, &masked, 0, length - 1);
+    state->ApplySegment(masked, segment);
+    record(masked, "crossover leg");
+    state->RevertSegment();
+    record(before, "crossover revert");
+  });
   return scores;
 }
 
 TEST(DeltaEvalTest, ShardCountsAreBitIdenticalIncludingRebuilds) {
-  // The legacy plane and the packed + sharded plane at shard counts 1, 3
-  // and 8 must produce the same walk bit-for-bit, including the
-  // rebuild-sized crossover leg.
+  // Bound and walked on 1, 3 and 8 workers (shard counts 1, 3, 8), every
+  // measure must track Compute and produce the same walk bit-for-bit,
+  // including the rebuild-sized crossover leg.
   World world = MakeWorld(91, /*rows=*/120);
   Rng donor_rng(92);
   Dataset donor = protection::Pram(0.4)
                       .Protect(world.original, world.attrs, &donor_rng)
                       .ValueOrDie();
   for (const auto& measure : AllMeasuresForShardTests()) {
-    auto baseline = ShardWalk(*measure, world, donor, DataPlaneConfig{});
-    for (int shards : {1, 3, 8}) {
-      DataPlaneConfig config;
-      config.sharded = true;
-      config.packed = true;
-      config.shards = shards;
-      auto scores = ShardWalk(*measure, world, donor, config);
+    auto baseline = ShardWalk(*measure, world, donor, /*workers=*/1);
+    for (int workers : {3, 8}) {
+      auto scores = ShardWalk(*measure, world, donor, workers);
       ASSERT_EQ(scores.size(), baseline.size()) << measure->Name();
       for (size_t i = 0; i < scores.size(); ++i) {
         ASSERT_EQ(scores[i], baseline[i])
-            << measure->Name() << " with " << shards
+            << measure->Name() << " with " << workers
             << " shards diverged at score " << i;
       }
     }
@@ -482,29 +490,69 @@ TEST(DeltaEvalTest, ShardCountsAreBitIdenticalIncludingRebuilds) {
 }
 
 TEST(DeltaEvalTest, RowsFewerThanShardsContributeIdentity) {
-  // Regression for the empty-shard merge: with 5 rows and 8 shards, three
+  // Regression for the empty-shard merge: with 5 rows on 8 workers, three
   // shard ranges are empty; they must contribute identity to every merge
-  // (finite scores, equal to the serial plane) — not NaN partials.
+  // (finite scores that match Compute) — not NaN partials.
   World world = MakeWorld(95, /*rows=*/5);
   Rng donor_rng(96);
   Dataset donor = protection::Pram(0.4)
                       .Protect(world.original, world.attrs, &donor_rng)
                       .ValueOrDie();
-  DataPlaneConfig config;
-  config.sharded = true;
-  config.packed = true;
-  config.shards = 8;
   for (const auto& measure : AllMeasuresForShardTests()) {
-    auto baseline = ShardWalk(*measure, world, donor, DataPlaneConfig{});
-    auto scores = ShardWalk(*measure, world, donor, config);
-    ASSERT_EQ(scores.size(), baseline.size()) << measure->Name();
+    auto scores = ShardWalk(*measure, world, donor, /*workers=*/8);
     for (size_t i = 0; i < scores.size(); ++i) {
       ASSERT_TRUE(std::isfinite(scores[i]))
           << measure->Name() << " produced a non-finite score at " << i;
-      ASSERT_EQ(scores[i], baseline[i])
-          << measure->Name() << " diverged at score " << i;
     }
   }
+}
+
+TEST(DeltaEvalTest, ConcurrentMeasureFanOutReadsSharedSegment) {
+  // Heavy segments fan out to every measure at once, all reading the same
+  // SegmentDelta (its row view included) from different workers. Legs run
+  // from 1/12 to 1/2 of the genome — heavy for the fan-out, and rebuild-
+  // sized for some measures but not others — so incremental and rebuild
+  // paths run side by side; each must match a full Evaluate and revert
+  // exactly.
+  World world = MakeWorld(87, /*rows=*/120);
+  Rng donor_rng(88);
+  Dataset donor = protection::Pram(0.4)
+                      .Protect(world.original, world.attrs, &donor_rng)
+                      .ValueOrDie();
+  FitnessEvaluator::Options options;
+  options.prl_em_iterations = 10;
+  evocat::testing::RunOnScheduler(4, [&] {
+    auto evaluator = std::move(FitnessEvaluator::Create(
+                                   world.original, world.attrs, options))
+                         .ValueOrDie();
+    Dataset masked = world.masked.Clone();
+    auto state = evaluator->BindState(masked);
+    core::GenomeLayout layout(world.attrs, world.original.num_rows());
+    int64_t genome = layout.Length();
+    Rng rng(89);
+    for (int leg = 0; leg < 50; ++leg) {
+      auto length =
+          static_cast<int64_t>(rng.UniformInt(genome / 12, genome / 2));
+      auto s = static_cast<int64_t>(rng.UniformInt(0, genome - length));
+      double score_before = state->breakdown().score;
+      Dataset before = masked.Clone();
+      auto segment = core::CrossoverSegmentSwap(layout, donor, &masked, s,
+                                                s + length - 1);
+      state->ApplyDelta(masked, segment);
+      FitnessBreakdown full = evaluator->Evaluate(masked);
+      ASSERT_NEAR(state->breakdown().ctbil, full.ctbil, kTol) << "leg " << leg;
+      ASSERT_NEAR(state->breakdown().dbil, full.dbil, kTol) << "leg " << leg;
+      ASSERT_NEAR(state->breakdown().ebil, full.ebil, kTol) << "leg " << leg;
+      ASSERT_NEAR(state->breakdown().id, full.id, kTol) << "leg " << leg;
+      ASSERT_NEAR(state->breakdown().dbrl, full.dbrl, kTol) << "leg " << leg;
+      ASSERT_NEAR(state->breakdown().prl, full.prl, kTol) << "leg " << leg;
+      ASSERT_NEAR(state->breakdown().rsrl, full.rsrl, kTol) << "leg " << leg;
+      ASSERT_NEAR(state->breakdown().score, full.score, kTol) << "leg " << leg;
+      state->Revert();
+      ASSERT_EQ(state->breakdown().score, score_before) << "leg " << leg;
+      masked = std::move(before);
+    }
+  });
 }
 
 TEST(DeltaEvalTest, CowOffspringKeepParentStateValid) {

@@ -1,12 +1,12 @@
 // Scale-parameterized oracle harness: every measure runs the same seeded
-// (operator-sequence, seed) walk twice — once on the legacy row-oriented
-// plane (the oracle) and once on the packed + sharded plane — at 1k, 10k
-// and (behind the *Scale100k* filter, ctest label `scale`) 100k rows. The
-// two traces must agree bit-for-bit on every intermediate score, through
-// reverts and a rebuild-sized segment, and both paths must finish with the
-// RNG at the same draw count (neither may consume extra randomness). At 1k
-// the oracle trace is additionally cross-checked against from-scratch
-// Compute() calls.
+// (operator-sequence, seed) walk — applies, reverts and a rebuild-sized
+// segment — bound and run on schedulers with 1, 3 and 8 workers, so its
+// builds shard 1, 3 and 8 ways. The traces must agree bit-for-bit on every
+// intermediate score and finish with the RNG at the same draw count (the
+// shard count may not consume randomness). At 1k and 10k rows every score
+// is also checked against a from-scratch Compute() within 1e-9. The 100k
+// leg (behind the *Scale100k* filter, ctest label `scale`) compares 1
+// worker against 8 only, with no O(n^2) Compute.
 
 #include <cmath>
 #include <cstdint>
@@ -32,8 +32,8 @@ namespace evocat {
 namespace metrics {
 namespace {
 
-using evocat::testing::DataPlaneGuard;
 using evocat::testing::MakeScaleWorld;
+using evocat::testing::RunOnScheduler;
 using evocat::testing::ScaleWorld;
 
 std::vector<std::unique_ptr<Measure>> AllMeasures() {
@@ -50,7 +50,7 @@ std::vector<std::unique_ptr<Measure>> AllMeasures() {
 
 /// Draws a batch of 1..max_cells distinct-cell changes, applies them to
 /// `masked` and returns the deltas. Identical RNG state in = identical
-/// batch out, which is what lets two planes replay the same walk.
+/// batch out, which is what lets every scheduler replay the same walk.
 std::vector<CellDelta> DrawBatch(Dataset* masked,
                                  const std::vector<int>& attrs, Rng* rng,
                                  int max_cells) {
@@ -79,121 +79,127 @@ std::vector<CellDelta> DrawBatch(Dataset* masked,
   return deltas;
 }
 
-/// One full walk of a measure under the given data plane: every score the
-/// state reports (after each apply, each revert, the forced rebuild and its
-/// revert) plus the RNG's next draw at the end.
+/// One full walk of a measure, bound and run on a `workers`-thread
+/// scheduler: every score the state reports (after each apply, each revert,
+/// the forced rebuild and its revert) plus the RNG's next draw at the end.
+/// With `cross_check` every score is also held against Compute() of the
+/// file it describes.
 struct Trace {
   std::vector<double> scores;
   uint64_t final_draw = 0;
 };
 
 Trace RunWalk(const Measure& measure, const ScaleWorld& world, uint64_t seed,
-              int steps, const DataPlaneConfig& config, bool cross_check) {
-  DataPlaneGuard guard(config);
-  auto bound =
-      std::move(measure.Bind(world.original, world.attrs)).ValueOrDie();
-  Dataset masked = world.masked.Clone();
-  auto state = bound->BindState(masked);
-
+              int steps, int workers, bool cross_check) {
   Trace trace;
-  trace.scores.push_back(state->Score());
-  if (cross_check) {
-    EXPECT_NEAR(state->Score(), bound->Compute(masked), 1e-9)
-        << measure.Name() << " initial";
-  }
+  RunOnScheduler(workers, [&] {
+    auto bound =
+        std::move(measure.Bind(world.original, world.attrs)).ValueOrDie();
+    Dataset masked = world.masked.Clone();
+    auto state = bound->BindState(masked);
+    auto record = [&](const Dataset& file, const char* what, int step) {
+      trace.scores.push_back(state->Score());
+      if (cross_check) {
+        EXPECT_NEAR(state->Score(), bound->Compute(file), 1e-9)
+            << measure.Name() << " " << what << " at step " << step;
+      }
+    };
+    record(masked, "bind", 0);
 
-  Rng rng(seed);
-  for (int step = 0; step < steps; ++step) {
+    Rng rng(seed);
+    for (int step = 0; step < steps; ++step) {
+      Dataset before = masked.Clone();
+      auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
+      state->ApplyDelta(masked, deltas);
+      record(masked, "apply", step);
+      if (step % 3 == 2) {
+        state->Revert();
+        record(before, "revert", step);
+        state->ApplyDelta(masked, deltas);
+        trace.scores.push_back(state->Score());
+      }
+    }
+
+    // Rebuild-sized leg: force the fallback threshold down so the next batch
+    // takes the full-rebuild path, then revert it.
+    state->set_full_rebuild_threshold(1);
+    Dataset before = masked.Clone();
     auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
     state->ApplyDelta(masked, deltas);
-    trace.scores.push_back(state->Score());
-    if (cross_check) {
-      EXPECT_NEAR(state->Score(), bound->Compute(masked), 1e-9)
-          << measure.Name() << " step " << step;
-    }
-    if (step % 3 == 2) {
-      state->Revert();
-      trace.scores.push_back(state->Score());
-      state->ApplyDelta(masked, deltas);
-      trace.scores.push_back(state->Score());
-    }
-  }
+    record(masked, "rebuild", steps);
+    state->Revert();
+    masked = std::move(before);
+    record(masked, "rebuild revert", steps);
 
-  // Rebuild-sized leg: force the fallback threshold down so the next batch
-  // takes the full-rebuild path, then revert it.
-  state->set_full_rebuild_threshold(1);
-  Dataset before = masked.Clone();
-  auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
-  state->ApplyDelta(masked, deltas);
-  trace.scores.push_back(state->Score());
-  state->Revert();
-  masked = std::move(before);
-  trace.scores.push_back(state->Score());
-
-  trace.final_draw = rng.NextU64();
+    trace.final_draw = rng.NextU64();
+  });
   return trace;
 }
 
-void RunScaleOracle(int64_t rows, int steps) {
+/// Walks every measure on each scheduler size in `workers` (the first is
+/// the reference trace) and requires bit-identical traces and RNG draw
+/// counts; with `cross_check` the last walk also checks every score against
+/// Compute().
+void RunScaleOracle(int64_t rows, int steps, const std::vector<int>& workers,
+                    bool cross_check) {
   ScaleWorld world = MakeScaleWorld(rows, 7000 + static_cast<uint64_t>(rows));
-  DataPlaneConfig oracle_plane;  // legacy row-oriented path
-  DataPlaneConfig fast_plane;
-  fast_plane.sharded = true;
-  fast_plane.packed = true;
-  fast_plane.shards = 8;
-
   for (const auto& measure : AllMeasures()) {
     uint64_t seed = 900 + static_cast<uint64_t>(rows);
-    Trace oracle = RunWalk(*measure, world, seed, steps, oracle_plane,
-                           /*cross_check=*/rows <= 1000);
-    Trace fast = RunWalk(*measure, world, seed, steps, fast_plane,
-                         /*cross_check=*/false);
-    ASSERT_EQ(oracle.scores.size(), fast.scores.size()) << measure->Name();
-    for (size_t i = 0; i < oracle.scores.size(); ++i) {
-      ASSERT_EQ(oracle.scores[i], fast.scores[i])
-          << measure->Name() << " at " << rows << " rows diverged at score "
-          << i << " (abs diff "
-          << std::abs(oracle.scores[i] - fast.scores[i]) << ")";
+    Trace reference = RunWalk(*measure, world, seed, steps, workers.front(),
+                              /*cross_check=*/false);
+    for (size_t w = 1; w < workers.size(); ++w) {
+      Trace trace = RunWalk(*measure, world, seed, steps, workers[w],
+                            cross_check && w + 1 == workers.size());
+      ASSERT_EQ(reference.scores.size(), trace.scores.size())
+          << measure->Name();
+      for (size_t i = 0; i < reference.scores.size(); ++i) {
+        ASSERT_EQ(reference.scores[i], trace.scores[i])
+            << measure->Name() << " at " << rows << " rows on " << workers[w]
+            << " workers diverged at score " << i << " (abs diff "
+            << std::abs(reference.scores[i] - trace.scores[i]) << ")";
+      }
+      EXPECT_EQ(reference.final_draw, trace.final_draw)
+          << measure->Name() << " on " << workers[w]
+          << " workers consumed a different number of RNG draws";
     }
-    EXPECT_EQ(oracle.final_draw, fast.final_draw)
-        << measure->Name() << " consumed a different number of RNG draws";
   }
 }
 
-/// Fitness-level walk under `config`: the aggregated score after every
-/// apply/revert, with optional per-step cross-checks against a from-scratch
-/// Evaluate. `probed` (optional) receives the evaluator's probe report.
+/// Fitness-level walk on a `workers`-thread scheduler: the aggregated score
+/// after every apply/revert, with optional per-step cross-checks against a
+/// from-scratch Evaluate. `probed` (optional) receives the evaluator's
+/// probe report.
 std::vector<double> RunFitnessWalk(
-    const ScaleWorld& world, uint64_t seed, int steps,
-    const DataPlaneConfig& config, const FitnessEvaluator::Options& options,
-    bool cross_check,
+    const ScaleWorld& world, uint64_t seed, int steps, int workers,
+    const FitnessEvaluator::Options& options, bool cross_check,
     std::vector<std::pair<std::string, double>>* probed) {
-  DataPlaneGuard guard(config);
-  auto evaluator =
-      std::move(FitnessEvaluator::Create(world.original, world.attrs, options))
-          .ValueOrDie();
-  Dataset masked = world.masked.Clone();
-  auto state = evaluator->BindState(masked);
   std::vector<double> trace;
-  trace.push_back(state->breakdown().score);
-  Rng rng(seed);
-  for (int step = 0; step < steps; ++step) {
-    auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
-    state->ApplyDelta(masked, deltas);
+  RunOnScheduler(workers, [&] {
+    auto evaluator = std::move(FitnessEvaluator::Create(
+                                   world.original, world.attrs, options))
+                         .ValueOrDie();
+    Dataset masked = world.masked.Clone();
+    auto state = evaluator->BindState(masked);
     trace.push_back(state->breakdown().score);
-    if (cross_check) {
-      EXPECT_NEAR(state->breakdown().score, evaluator->Evaluate(masked).score,
-                  1e-9)
-          << "probe walk step " << step;
-    }
-    if (step % 3 == 2) {
-      state->Revert();
-      trace.push_back(state->breakdown().score);
+    Rng rng(seed);
+    for (int step = 0; step < steps; ++step) {
+      auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
       state->ApplyDelta(masked, deltas);
       trace.push_back(state->breakdown().score);
+      if (cross_check) {
+        EXPECT_NEAR(state->breakdown().score,
+                    evaluator->Evaluate(masked).score, 1e-9)
+            << "probe walk step " << step;
+      }
+      if (step % 3 == 2) {
+        state->Revert();
+        trace.push_back(state->breakdown().score);
+        state->ApplyDelta(masked, deltas);
+        trace.push_back(state->breakdown().score);
+      }
     }
-  }
-  if (probed != nullptr) *probed = evaluator->probed_rebuild_fractions();
+    if (probed != nullptr) *probed = evaluator->probed_rebuild_fractions();
+  });
   return trace;
 }
 
@@ -203,15 +209,11 @@ std::vector<double> RunFitnessWalk(
 // each of the seven measures.
 TEST(ScaleOracleTest, ProbeOnFitnessWalkStaysExact) {
   ScaleWorld world = MakeScaleWorld(1000, 7001);
-  DataPlaneConfig fast_plane;
-  fast_plane.sharded = true;
-  fast_plane.packed = true;
-  fast_plane.shards = 8;
   FitnessEvaluator::Options options;
   options.prl_em_iterations = 10;
   options.probe_rebuild_fractions = true;
   std::vector<std::pair<std::string, double>> probed;
-  RunFitnessWalk(world, 901, /*steps=*/9, fast_plane, options,
+  RunFitnessWalk(world, 901, /*steps=*/9, /*workers=*/8, options,
                  /*cross_check=*/true, &probed);
   ASSERT_EQ(probed.size(), 7u);
   for (const auto& [name, fraction] : probed) {
@@ -225,10 +227,6 @@ TEST(ScaleOracleTest, ProbeOnFitnessWalkStaysExact) {
 // the probe reports nothing.
 TEST(ScaleOracleTest, ProbeWithPinnedFractionsReplaysBitIdentically) {
   ScaleWorld world = MakeScaleWorld(1000, 7001);
-  DataPlaneConfig fast_plane;
-  fast_plane.sharded = true;
-  fast_plane.packed = true;
-  fast_plane.shards = 8;
   FitnessEvaluator::Options pinned;
   pinned.prl_em_iterations = 10;
   pinned.delta_rebuild_fraction = 0.4;  // pins every measure
@@ -236,10 +234,10 @@ TEST(ScaleOracleTest, ProbeWithPinnedFractionsReplaysBitIdentically) {
   pinned_probe.probe_rebuild_fractions = true;
   std::vector<std::pair<std::string, double>> probed;
   std::vector<double> base = RunFitnessWalk(world, 902, /*steps=*/9,
-                                            fast_plane, pinned,
+                                            /*workers=*/8, pinned,
                                             /*cross_check=*/false, nullptr);
   std::vector<double> with_probe =
-      RunFitnessWalk(world, 902, /*steps=*/9, fast_plane, pinned_probe,
+      RunFitnessWalk(world, 902, /*steps=*/9, /*workers=*/8, pinned_probe,
                      /*cross_check=*/false, &probed);
   ASSERT_EQ(base.size(), with_probe.size());
   for (size_t i = 0; i < base.size(); ++i) {
@@ -249,17 +247,17 @@ TEST(ScaleOracleTest, ProbeWithPinnedFractionsReplaysBitIdentically) {
 }
 
 TEST(ScaleOracleTest, AllMeasuresBitIdentical1k) {
-  RunScaleOracle(1000, /*steps=*/12);
+  RunScaleOracle(1000, /*steps=*/12, {1, 3, 8}, /*cross_check=*/true);
 }
 
 TEST(ScaleOracleTest, AllMeasuresBitIdentical10k) {
-  RunScaleOracle(10000, /*steps=*/9);
+  RunScaleOracle(10000, /*steps=*/9, {1, 3, 8}, /*cross_check=*/true);
 }
 
 // Registered as its own ctest entry (metrics/scale_oracle_100k, label
 // `scale`); the tier-1 entry filters it out.
 TEST(ScaleOracleTest, AllMeasuresBitIdenticalScale100k) {
-  RunScaleOracle(100000, /*steps=*/6);
+  RunScaleOracle(100000, /*steps=*/6, {1, 8}, /*cross_check=*/false);
 }
 
 }  // namespace

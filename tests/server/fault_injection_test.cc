@@ -230,6 +230,13 @@ TEST(FaultInjectionTest, SigkillMidRunThenRestartCompletesIdentically) {
     EXPECT_EQ(canceled.status, 202) << canceled.body;
     ASSERT_EQ(PollUntil(socket_path, "job-000002", "done"), "done");
 
+    // Jobs run their measures on the daemon's own pool: binding and
+    // sharding must not start a second, hardware-sized one beside it.
+    api::JsonValue after = ParseBody(
+        HttpFetchUnix(socket_path, Get("/healthz")).ValueOrDie());
+    ASSERT_NE(after.Find("scheduler"), nullptr);
+    EXPECT_EQ(after.Find("scheduler")->Find("workers")->int_value(), 1);
+
     HttpResponse result =
         HttpFetchUnix(socket_path, Get("/v1/jobs/job-000002/result"))
             .ValueOrDie();

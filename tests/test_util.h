@@ -5,16 +5,17 @@
 #define EVOCAT_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/task_scheduler.h"
 #include "data/dataset.h"
 #include "data/schema.h"
 #include "datagen/generator.h"
 #include "datagen/profile.h"
-#include "metrics/plane.h"
 #include "protection/pram.h"
 
 namespace evocat {
@@ -66,21 +67,16 @@ inline int64_t CountDiffs(const Dataset& x, const Dataset& y,
   return diffs;
 }
 
-/// \brief RAII override of the process-wide data-plane configuration:
-/// installs `config` for the scope, restores the previous plane on exit.
-class DataPlaneGuard {
- public:
-  explicit DataPlaneGuard(const metrics::DataPlaneConfig& config)
-      : saved_(metrics::GetDataPlane()) {
-    metrics::SetDataPlane(config);
-  }
-  ~DataPlaneGuard() { metrics::SetDataPlane(saved_); }
-  DataPlaneGuard(const DataPlaneGuard&) = delete;
-  DataPlaneGuard& operator=(const DataPlaneGuard&) = delete;
-
- private:
-  metrics::DataPlaneConfig saved_;
-};
+/// \brief Runs `fn` as one task on a private scheduler with `workers`
+/// threads and waits for it. Everything `fn` binds or evaluates then sees
+/// that scheduler: its parallel loops split over `workers` threads and the
+/// measures shard their builds `workers` ways.
+inline void RunOnScheduler(int workers, const std::function<void()>& fn) {
+  TaskScheduler scheduler(workers);
+  TaskScheduler::Group group;
+  scheduler.Submit(&group, fn);
+  scheduler.Wait(&group);
+}
 
 /// \brief An (original, masked, protected-attrs) fixture at any record
 /// count: the Adult-shaped synthetic profile scaled to `rows` and perturbed
