@@ -24,27 +24,11 @@ struct Variant {
 std::vector<Variant> Variants() {
   std::vector<Variant> variants;
   variants.push_back({"full", {}});
-  metrics::FitnessEvaluator::Options options;
-  options.use_ctbil = false;
-  variants.push_back({"no_ctbil", options});
-  options = {};
-  options.use_dbil = false;
-  variants.push_back({"no_dbil", options});
-  options = {};
-  options.use_ebil = false;
-  variants.push_back({"no_ebil", options});
-  options = {};
-  options.use_id = false;
-  variants.push_back({"no_id", options});
-  options = {};
-  options.use_dbrl = false;
-  variants.push_back({"no_dbrl", options});
-  options = {};
-  options.use_prl = false;
-  variants.push_back({"no_prl", options});
-  options = {};
-  options.use_rsrl = false;
-  variants.push_back({"no_rsrl", options});
+  for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
+    metrics::FitnessEvaluator::Options options;
+    options.*measure.enabled = false;
+    variants.push_back({std::string("no_") + measure.key, options});
+  }
   return variants;
 }
 

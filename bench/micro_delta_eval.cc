@@ -3,7 +3,7 @@
 //
 // Measures, on a >=1,000-record synthetic Adult file:
 //   1. per-measure single-cell (mutation) re-evaluation: full Compute vs
-//      MeasureState::ApplyDelta+Score, asserting the two scores agree to
+//      MeasureState::ApplySegment+Score, asserting the two scores agree to
 //      1e-9 and reporting the speedup (target: >= 10x with DBRL enabled);
 //   2. whole-fitness delta evaluation vs FitnessEvaluator::Evaluate;
 //   3. crossover-heavy segment batches (the operator's own uniform 2-point
@@ -109,13 +109,13 @@ MeasureTiming TimeMeasure(const metrics::BoundMeasure& bound, Dataset* masked,
       std::vector<metrics::CellDelta> deltas{
           {step.row, step.attr, old_code, step.new_code}};
       Timer timer;
-      state->ApplyDelta(*masked, deltas);
+      state->ApplySegment(*masked, metrics::SegmentDelta::FromCells(deltas));
       double delta_score = state->Score();
       elapsed += timer.ElapsedSeconds();
       double full_score = bound.Compute(*masked);
       timing.max_abs_diff =
           std::max(timing.max_abs_diff, std::fabs(delta_score - full_score));
-      state->Revert();
+      state->RevertSegment();
       masked->SetCode(step.row, step.attr, old_code);
     }
     timing.delta_eval_seconds = elapsed / static_cast<double>(steps.size());
@@ -193,9 +193,9 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
       std::vector<metrics::CellDelta> deltas{
           {step.row, step.attr, old_code, step.new_code}};
       Timer timer;
-      state->ApplyDelta(masked, deltas);
+      state->ApplySegment(masked, metrics::SegmentDelta::FromCells(deltas));
       scores->push_back(state->Score());
-      state->Revert();
+      state->RevertSegment();
       elapsed += timer.ElapsedSeconds();
       masked.SetCode(step.row, step.attr, old_code);
     }
@@ -327,7 +327,7 @@ int main(int argc, char** argv) {
       std::vector<metrics::CellDelta> deltas{
           {step.row, step.attr, old_code, step.new_code}};
       Timer delta_timer;
-      state->ApplyDelta(masked, deltas);
+      state->ApplyDelta(masked, metrics::SegmentDelta::FromCells(deltas));
       double delta_score = state->breakdown().score;
       fitness_delta_s += delta_timer.ElapsedSeconds();
       Timer full_timer;
@@ -432,14 +432,16 @@ int main(int argc, char** argv) {
       std::vector<metrics::CellDelta> deltas{
           {step.row, step.attr, old_code, step.new_code}};
       Timer delta_timer;
-      delta_state->ApplyDelta(prl_masked, deltas);
+      delta_state->ApplySegment(prl_masked,
+                                metrics::SegmentDelta::FromCells(deltas));
       double delta_score = delta_state->Score();
-      delta_state->Revert();
+      delta_state->RevertSegment();
       prl_delta_s += delta_timer.ElapsedSeconds();
       Timer rebuild_timer;
-      rebuild_state->ApplyDelta(prl_masked, deltas);
+      rebuild_state->ApplySegment(prl_masked,
+                                  metrics::SegmentDelta::FromCells(deltas));
       double rebuild_score = rebuild_state->Score();
-      rebuild_state->Revert();
+      rebuild_state->RevertSegment();
       prl_rebuild_s += rebuild_timer.ElapsedSeconds();
       Timer full_timer;
       double full_score = bound->Compute(prl_masked);
@@ -596,11 +598,10 @@ int main(int argc, char** argv) {
              registry.CounterValue("evocat_delta_reverts_total"));
     int64_t fallbacks = 0;
     bench::JsonObject fallback_json;
-    for (const char* measure :
-         {"ctbil", "dbil", "ebil", "id", "dbrl", "prl", "rsrl"}) {
+    for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
       int64_t value = registry.CounterValue("evocat_rebuild_fallbacks_total",
-                                            {{"measure", measure}});
-      fallback_json.Add(measure, value);
+                                            {{"measure", measure.key}});
+      fallback_json.Add(measure.key, value);
       fallbacks += value;
     }
     counters_json.Add("rebuild_fallbacks_total", fallbacks)

@@ -5,12 +5,12 @@
 //
 // Scenario 2 (skewed): 1 heavy job (bigger file, full paper roster — the
 // per-grid-point build and per-member evaluation dominate) + N light jobs,
-// under both batch schedules. One-job-per-worker leaves the heavy job's
-// inner loops serial on a single worker once the light jobs finish; work
-// stealing splits them across the idle workers. Results must stay
-// bit-identical between the two schedules; the wall-clock gap (and the
-// steal counter) is the win. On a single hardware thread both degenerate
-// to the same serial schedule (speedup ~1.0).
+// run serially one after another and then as one batch. Once the light
+// jobs finish, work stealing splits the heavy job's inner loops across the
+// idle workers. Every batch slot must stay bit-identical to its serial solo
+// run; the wall-clock gap (and the steal counter) is the win. On a single
+// hardware thread both degenerate to the same serial schedule (speedup
+// ~1.0).
 //
 // Scenario 3 (--scale, gated): one 100k-record Adult-shaped job end to end,
 // on a 1-worker scheduler and on the shared pool. The best individual must
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
               "batch parallelism is bounded by hardware threads)\n",
               serial_seconds, batch_seconds, speedup);
 
-  // --- Scenario 2: skewed batch, one-job-per-worker vs work stealing. ---
+  // --- Scenario 2: skewed batch, serial solo runs vs work stealing. ---
   // The heavy job runs the full default Adult roster (86 grid points) over a
   // bigger synthetic file; its seed-protection build and initial population
   // evaluation are the stealable phases. The light jobs finish first and
@@ -235,11 +235,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Reference artifacts (serial solo runs) for the parity check.
-  api::Session skew_reference_session;
+  // Serial solo runs: the timing reference and the parity reference.
+  api::Session skew_serial_session;
   std::vector<api::RunArtifacts> skew_reference;
+  Timer skew_serial_timer;
   for (const auto& job : skewed) {
-    auto run = skew_reference_session.Run(job);
+    auto run = skew_serial_session.Run(job);
     if (!run.ok()) {
       std::fprintf(stderr, "reference %s: %s\n", job.name.c_str(),
                    run.status().ToString().c_str());
@@ -247,23 +248,12 @@ int main(int argc, char** argv) {
     }
     skew_reference.push_back(std::move(run).ValueOrDie());
   }
-
-  api::Session::BatchOptions one_per_worker;
-  one_per_worker.work_stealing = false;
-  api::Session legacy_session;
-  Timer legacy_timer;
-  auto legacy = legacy_session.RunBatch(skewed, one_per_worker);
-  double legacy_seconds = legacy_timer.ElapsedSeconds();
-  if (!SameArtifacts(skewed, legacy, skew_reference, "one-per-worker")) {
-    return 1;
-  }
+  double skew_serial_seconds = skew_serial_timer.ElapsedSeconds();
 
   int64_t steals_before = TaskScheduler::Shared().steal_count();
-  api::Session::BatchOptions stealing;
-  stealing.work_stealing = true;
   api::Session stealing_session;
   Timer stealing_timer;
-  auto stolen = stealing_session.RunBatch(skewed, stealing);
+  auto stolen = stealing_session.RunBatch(skewed);
   double stealing_seconds = stealing_timer.ElapsedSeconds();
   int64_t steals =
       TaskScheduler::Shared().steal_count() - steals_before;
@@ -272,12 +262,12 @@ int main(int argc, char** argv) {
   }
 
   double skew_speedup =
-      stealing_seconds > 0 ? legacy_seconds / stealing_seconds : 0.0;
+      stealing_seconds > 0 ? skew_serial_seconds / stealing_seconds : 0.0;
   std::printf(
-      "skewed (1 heavy + %d light): one-per-worker: %.2fs  "
+      "skewed (1 heavy + %d light): serial: %.2fs  "
       "work-stealing: %.2fs  speedup: %.2fx  stolen_subtasks: %lld "
       "(bit-identical)\n",
-      kJobs - 1, legacy_seconds, stealing_seconds, skew_speedup,
+      kJobs - 1, skew_serial_seconds, stealing_seconds, skew_speedup,
       static_cast<long long>(steals));
 
   bench::JsonObject summary;
@@ -286,7 +276,7 @@ int main(int argc, char** argv) {
   summary.Add("serial_seconds", serial_seconds);
   summary.Add("batch_seconds", batch_seconds);
   summary.Add("batch_speedup", speedup);
-  summary.Add("skewed_one_per_worker_seconds", legacy_seconds);
+  summary.Add("skewed_serial_seconds", skew_serial_seconds);
   summary.Add("skewed_work_stealing_seconds", stealing_seconds);
   summary.Add("skewed_speedup", skew_speedup);
   summary.Add("skewed_stolen_subtasks", steals);
@@ -298,10 +288,9 @@ int main(int argc, char** argv) {
     summary.Add("csv_cache_misses",
                 registry.CounterValue("evocat_csv_cache_misses_total"));
     int64_t fallbacks = 0;
-    for (const char* measure :
-         {"ctbil", "dbil", "ebil", "id", "dbrl", "prl", "rsrl"}) {
+    for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
       fallbacks += registry.CounterValue("evocat_rebuild_fallbacks_total",
-                                         {{"measure", measure}});
+                                         {{"measure", measure.key}});
     }
     summary.Add("rebuild_fallbacks", fallbacks);
     summary.Add("scheduler_steals",

@@ -19,13 +19,9 @@ JsonValue ScoreStatsToJson(const ScoreStats& stats) {
 
 JsonValue BreakdownToJson(const metrics::FitnessBreakdown& fitness) {
   JsonValue json = JsonValue::MakeObject();
-  json.Set("ctbil", JsonValue::MakeNumber(fitness.ctbil));
-  json.Set("dbil", JsonValue::MakeNumber(fitness.dbil));
-  json.Set("ebil", JsonValue::MakeNumber(fitness.ebil));
-  json.Set("id", JsonValue::MakeNumber(fitness.id));
-  json.Set("dbrl", JsonValue::MakeNumber(fitness.dbrl));
-  json.Set("prl", JsonValue::MakeNumber(fitness.prl));
-  json.Set("rsrl", JsonValue::MakeNumber(fitness.rsrl));
+  for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
+    json.Set(measure.key, JsonValue::MakeNumber(fitness.*measure.field));
+  }
   json.Set("il", JsonValue::MakeNumber(fitness.il));
   json.Set("dr", JsonValue::MakeNumber(fitness.dr));
   json.Set("score", JsonValue::MakeNumber(fitness.score));

@@ -301,7 +301,7 @@ void ParseMethods(const JsonValue& json, std::vector<MethodGridSpec>* methods,
 }
 
 void ParseMeasures(const JsonValue& json, MeasureSpec* measures,
-                   FitnessSpec* fitness, Status* status) {
+                   Status* status) {
   Fields f("measures", json, status);
   std::string aggregation;
   f.String("aggregation", &aggregation);
@@ -319,10 +319,6 @@ void ParseMeasures(const JsonValue& json, MeasureSpec* measures,
   f.Double("id_window_percent", &measures->id_window_percent);
   f.Double("rsrl_assumed_p_percent", &measures->rsrl_assumed_p_percent);
   f.Int("prl_em_iterations", &measures->prl_em_iterations);
-  // Legacy alias of fitness.delta_rebuild_fraction (the knob moved into the
-  // `fitness` cost-model block when it became measure-owned); accepted on
-  // input, serialized only in its new home.
-  f.Double("delta_rebuild_fraction", &fitness->delta_rebuild_fraction);
   f.Finish();
 }
 
@@ -485,7 +481,7 @@ Result<JobSpec> JobSpec::FromJson(const JsonValue& json) {
     ParseMethods(*methods, &spec.methods, &status);
   }
   if (const JsonValue* measures = f.Get("measures")) {
-    ParseMeasures(*measures, &spec.measures, &spec.fitness, &status);
+    ParseMeasures(*measures, &spec.measures, &status);
   }
   if (const JsonValue* fitness = f.Get("fitness")) {
     ParseFitness(*fitness, &spec.fitness, &status);
@@ -630,16 +626,9 @@ Status JobSpec::Validate() const {
           "'; known: ", Join(metrics::MeasureRegistry::Global().Names(), ','));
     }
   }
-  metrics::FitnessEvaluator::Options fitness_options = FitnessOptions();
-  if (!fitness_options.use_ctbil && !fitness_options.use_dbil &&
-      !fitness_options.use_ebil) {
-    return Status::Invalid(
-        "measures.enabled: at least one information-loss measure is required");
-  }
-  if (!fitness_options.use_id && !fitness_options.use_dbrl &&
-      !fitness_options.use_prl && !fitness_options.use_rsrl) {
-    return Status::Invalid(
-        "measures.enabled: at least one disclosure-risk measure is required");
+  Status selection = metrics::CheckMeasureSelection(FitnessOptions());
+  if (!selection.ok()) {
+    return Status::Invalid("measures.enabled: ", selection.message());
   }
   if (fitness.delta_rebuild_fraction < 0.0 ||
       fitness.delta_rebuild_fraction > 1.0) {
@@ -710,18 +699,11 @@ metrics::FitnessEvaluator::Options JobSpec::FitnessOptions() const {
   options.measure_rebuild_fractions = fitness.rebuild_fractions;
   options.probe_rebuild_fractions = fitness.probe_rebuild_fractions;
   if (!measures.enabled.empty()) {
-    options.use_ctbil = options.use_dbil = options.use_ebil = false;
-    options.use_id = options.use_dbrl = options.use_prl = options.use_rsrl =
-        false;
-    for (const std::string& name : measures.enabled) {
-      std::string key = ToLower(name);
-      if (key == "ctbil") options.use_ctbil = true;
-      if (key == "dbil") options.use_dbil = true;
-      if (key == "ebil") options.use_ebil = true;
-      if (key == "id") options.use_id = true;
-      if (key == "dbrl") options.use_dbrl = true;
-      if (key == "prl") options.use_prl = true;
-      if (key == "rsrl") options.use_rsrl = true;
+    for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
+      options.*measure.enabled = false;
+      for (const std::string& name : measures.enabled) {
+        if (ToLower(name) == measure.key) options.*measure.enabled = true;
+      }
     }
   }
   return options;

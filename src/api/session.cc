@@ -439,23 +439,14 @@ Result<RunArtifacts> Session::Run(const JobSpec& input_spec,
 }
 
 std::vector<Result<RunArtifacts>> Session::RunBatch(
-    const std::vector<JobSpec>& specs, const BatchOptions& batch) {
+    const std::vector<JobSpec>& specs) {
   std::vector<Result<RunArtifacts>> results(
       specs.size(), Result<RunArtifacts>(Status::Internal("job not executed")));
-  if (!batch.work_stealing) {
-    // Legacy schedule: jobs fan out across the worker pool; the nested-region
-    // guard makes each job's inner loops serial, so N jobs use N workers
-    // without oversubscription. Each slot is written by exactly one iteration.
-    ParallelFor(0, static_cast<int64_t>(specs.size()), [&](int64_t i) {
-      results[static_cast<size_t>(i)] = Run(specs[static_cast<size_t>(i)]);
-    });
-    return results;
-  }
-  // Work-stealing schedule: each job is one scheduler task; a job's inner
-  // ParallelFor loops split into chunks that idle workers steal (see
-  // common/task_scheduler.h), so the tail of a skewed batch — one heavy job
-  // outliving its siblings — still uses every worker. The caller sleeps in
-  // Wait rather than executing, keeping active threads at the worker count.
+  // Each job is one scheduler task; a job's inner ParallelFor loops split
+  // into chunks that idle workers steal (see common/task_scheduler.h), so
+  // the tail of a skewed batch — one heavy job outliving its siblings —
+  // still uses every worker. The caller sleeps in Wait rather than
+  // executing, keeping active threads at the worker count.
   TaskScheduler& scheduler = TaskScheduler::Shared();
   TaskScheduler::Group group;
   for (size_t i = 0; i < specs.size(); ++i) {

@@ -128,16 +128,6 @@ class Session {
     int64_t entries = 0;  ///< current resident originals
   };
 
-  struct BatchOptions {
-    /// Execute jobs on the work-stealing task scheduler: a heavy job's
-    /// data-parallel phases (per-grid-point seed protections, per-member
-    /// evaluations, measure row loops) split into subtasks that idle workers
-    /// steal, so a skewed batch keeps every core busy. false restores the
-    /// one-job-per-worker schedule (each job's inner loops strictly serial).
-    /// Both schedules produce bit-identical artifacts.
-    bool work_stealing = true;
-  };
-
   Session() = default;
   explicit Session(Options options) : options_(options) {}
 
@@ -146,17 +136,16 @@ class Session {
   Result<RunArtifacts> Run(const JobSpec& spec,
                            const RunControl* control = nullptr);
 
-  /// \brief Runs every spec concurrently across the worker threads.
+  /// \brief Runs every spec concurrently on the work-stealing scheduler.
   ///
-  /// Slot i holds job i's artifacts or the Status explaining its failure;
-  /// one failing job never aborts its siblings. Every job is seeded from its
-  /// own spec, so each slot is bit-identical to `Run(specs[i])` alone under
-  /// either scheduling mode.
-  std::vector<Result<RunArtifacts>> RunBatch(
-      const std::vector<JobSpec>& specs, const BatchOptions& batch);
-  std::vector<Result<RunArtifacts>> RunBatch(const std::vector<JobSpec>& specs) {
-    return RunBatch(specs, BatchOptions());
-  }
+  /// Each job is one task on `TaskScheduler::Shared()`; a heavy job's
+  /// data-parallel phases (per-grid-point seed protections, per-member
+  /// evaluations, measure row loops) split into subtasks that idle workers
+  /// steal, so a skewed batch keeps every core busy. Slot i holds job i's
+  /// artifacts or the Status explaining its failure; one failing job never
+  /// aborts its siblings. Every job is seeded from its own spec, so each
+  /// slot is bit-identical to `Run(specs[i])` alone.
+  std::vector<Result<RunArtifacts>> RunBatch(const std::vector<JobSpec>& specs);
 
   /// \brief Current source-cache counters (thread-safe snapshot).
   CacheStats cache_stats() const;

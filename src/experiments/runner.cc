@@ -36,19 +36,11 @@ ScoreTriple ToTriple(const api::ScoreStats& stats) {
 /// Measure toggles -> the JobSpec's enabled-measure list (empty == all).
 std::vector<std::string> EnabledMeasures(
     const metrics::FitnessEvaluator::Options& options) {
-  if (options.use_ctbil && options.use_dbil && options.use_ebil &&
-      options.use_id && options.use_dbrl && options.use_prl &&
-      options.use_rsrl) {
-    return {};
-  }
   std::vector<std::string> enabled;
-  if (options.use_ctbil) enabled.push_back("CTBIL");
-  if (options.use_dbil) enabled.push_back("DBIL");
-  if (options.use_ebil) enabled.push_back("EBIL");
-  if (options.use_id) enabled.push_back("ID");
-  if (options.use_dbrl) enabled.push_back("DBRL");
-  if (options.use_prl) enabled.push_back("PRL");
-  if (options.use_rsrl) enabled.push_back("RSRL");
+  for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
+    if (options.*measure.enabled) enabled.push_back(measure.name);
+  }
+  if (enabled.size() == metrics::FitnessMeasures().size()) enabled.clear();
   return enabled;
 }
 
@@ -73,13 +65,8 @@ Result<ExperimentResult> RunExperiment(const DatasetCase& dataset_case,
   metrics::FitnessEvaluator::Options fitness = options.fitness;
   fitness.aggregation = options.aggregation;
   // All-toggles-false would map onto MeasureSpec's empty list, which means
-  // "all enabled" — reject it here as FitnessEvaluator::Create always did.
-  // (Every partially-disabled case is validated by the spec itself.)
-  if (!fitness.use_ctbil && !fitness.use_dbil && !fitness.use_ebil &&
-      !fitness.use_id && !fitness.use_dbrl && !fitness.use_prl &&
-      !fitness.use_rsrl) {
-    return Status::Invalid("at least one information-loss measure is required");
-  }
+  // "all enabled" — so the selection is checked here, before the mapping.
+  EVOCAT_RETURN_NOT_OK(metrics::CheckMeasureSelection(fitness));
   spec.measures.aggregation = fitness.aggregation;
   spec.measures.il_weight = fitness.il_weight;
   spec.measures.enabled = EnabledMeasures(fitness);
@@ -89,6 +76,7 @@ Result<ExperimentResult> RunExperiment(const DatasetCase& dataset_case,
   spec.measures.prl_em_iterations = fitness.prl_em_iterations;
   spec.fitness.delta_rebuild_fraction = fitness.delta_rebuild_fraction;
   spec.fitness.rebuild_fractions = fitness.measure_rebuild_fractions;
+  spec.fitness.probe_rebuild_fractions = fitness.probe_rebuild_fractions;
 
   spec.ga.generations = options.generations;
   spec.ga.mutation_rate = options.mutation_rate;

@@ -15,10 +15,9 @@ namespace metrics {
 
 namespace {
 
-/// Slot order mirrors the fixed ctbil..rsrl member order used everywhere in
-/// this file; the telemetry label is the measure's JobSpec name.
-constexpr const char* kSlotNames[7] = {"ctbil", "dbil",  "ebil", "id",
-                                       "dbrl",  "prl",   "rsrl"};
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+ParamMap NoParams(const FitnessEvaluator::Options&) { return {}; }
 
 obs::Counter* DeltaAppliesCounter() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
@@ -34,36 +33,47 @@ obs::Counter* DeltaRevertsCounter() {
   return counter;
 }
 
-obs::Counter* RebuildFallbackCounter(int slot) {
-  static obs::Counter* counters[7] = {nullptr};
-  static const bool initialized = [] {
-    for (int i = 0; i < 7; ++i) {
-      counters[i] = obs::MetricsRegistry::Global().GetCounter(
+/// Per-measure series, all registered on first use and indexed by table
+/// row; the label is the measure's key.
+obs::Counter* RebuildFallbackCounter(size_t index) {
+  static const std::vector<obs::Counter*> counters = [] {
+    std::vector<obs::Counter*> out;
+    for (const FitnessMeasure& measure : FitnessMeasures()) {
+      out.push_back(obs::MetricsRegistry::Global().GetCounter(
           "evocat_rebuild_fallbacks_total",
           "Segment applies that crossed a measure's full-rebuild threshold "
           "(the incremental path degenerated to a rebuild).",
-          {{"measure", kSlotNames[i]}});
+          {{"measure", measure.key}}));
     }
-    return true;
+    return out;
   }();
-  (void)initialized;
-  return counters[slot];
+  return counters[index];
 }
 
-obs::Gauge* ProbeFractionGauge(int slot) {
-  static obs::Gauge* gauges[7] = {nullptr};
-  static const bool initialized = [] {
-    for (int i = 0; i < 7; ++i) {
-      gauges[i] = obs::MetricsRegistry::Global().GetGauge(
+obs::Gauge* ProbeFractionGauge(size_t index) {
+  static const std::vector<obs::Gauge*> gauges = [] {
+    std::vector<obs::Gauge*> out;
+    for (const FitnessMeasure& measure : FitnessMeasures()) {
+      out.push_back(obs::MetricsRegistry::Global().GetGauge(
           "evocat_delta_plane_probe_fraction_ppm",
           "Rebuild fraction the bind-time probe chose, in parts per million "
           "of the protected cells.",
-          {{"measure", kSlotNames[i]}});
+          {{"measure", measure.key}}));
     }
-    return true;
+    return out;
   }();
-  (void)initialized;
-  return gauges[slot];
+  return gauges[index];
+}
+
+/// The rebuild fraction `options` pin for the measure keyed `key`: a
+/// per-measure override beats the global one; 0 means unpinned.
+double PinnedFraction(const FitnessEvaluator::Options& options,
+                      const char* key) {
+  double fraction = options.delta_rebuild_fraction;
+  for (const auto& [measure, value] : options.measure_rebuild_fractions) {
+    if (ToLower(measure) == key) fraction = value;
+  }
+  return fraction;
 }
 
 /// A no-op segment: `rows` distinct rows, one cell each, old == new (the
@@ -84,6 +94,50 @@ SegmentDelta NoOpSegment(const Dataset& masked, const std::vector<int>& attrs,
 }
 
 }  // namespace
+
+const std::vector<FitnessMeasure>& FitnessMeasures() {
+  using Options = FitnessEvaluator::Options;
+  static const std::vector<FitnessMeasure> table = {
+      {"CTBIL", "ctbil", &Options::use_ctbil, &FitnessBreakdown::ctbil,
+       [](const Options& o) -> ParamMap {
+         return {{"max_dimension", std::to_string(o.ctbil_max_dimension)}};
+       }},
+      {"DBIL", "dbil", &Options::use_dbil, &FitnessBreakdown::dbil, NoParams},
+      {"EBIL", "ebil", &Options::use_ebil, &FitnessBreakdown::ebil, NoParams},
+      {"ID", "id", &Options::use_id, &FitnessBreakdown::id,
+       [](const Options& o) -> ParamMap {
+         return {{"window_percent", FormatDouble(o.id_window_percent)}};
+       }},
+      {"DBRL", "dbrl", &Options::use_dbrl, &FitnessBreakdown::dbrl, NoParams},
+      {"PRL", "prl", &Options::use_prl, &FitnessBreakdown::prl,
+       [](const Options& o) -> ParamMap {
+         return {{"em_iterations", std::to_string(o.prl_em_iterations)}};
+       }},
+      {"RSRL", "rsrl", &Options::use_rsrl, &FitnessBreakdown::rsrl,
+       [](const Options& o) -> ParamMap {
+         return {{"assumed_p_percent", FormatDouble(o.rsrl_assumed_p_percent)}};
+       }},
+  };
+  return table;
+}
+
+Status CheckMeasureSelection(const FitnessEvaluator::Options& options) {
+  bool has_il = false, has_dr = false;
+  for (const FitnessMeasure& measure : FitnessMeasures()) {
+    if (!(options.*measure.enabled)) continue;
+    EVOCAT_ASSIGN_OR_RETURN(std::unique_ptr<Measure> instance,
+                            MeasureRegistry::Global().Create(measure.name));
+    (instance->Kind() == MeasureKind::kInformationLoss ? has_il : has_dr) =
+        true;
+  }
+  if (!has_il) {
+    return Status::Invalid("at least one information-loss measure is required");
+  }
+  if (!has_dr) {
+    return Status::Invalid("at least one disclosure-risk measure is required");
+  }
+  return Status::OK();
+}
 
 const char* ScoreAggregationToString(ScoreAggregation aggregation) {
   switch (aggregation) {
@@ -149,95 +203,57 @@ Result<std::unique_ptr<FitnessEvaluator>> FitnessEvaluator::Create(
                              "] must be in (0, 1], got ", fraction);
     }
   }
-  if (!options.use_ctbil && !options.use_dbil && !options.use_ebil) {
-    return Status::Invalid("at least one information-loss measure is required");
-  }
-  if (!options.use_id && !options.use_dbrl && !options.use_prl &&
-      !options.use_rsrl) {
-    return Status::Invalid("at least one disclosure-risk measure is required");
-  }
+  EVOCAT_RETURN_NOT_OK(CheckMeasureSelection(options));
 
   // Measures are constructed by name through the registry — the same path a
   // JobSpec takes — so the evaluator never names a concrete measure class.
   std::unique_ptr<FitnessEvaluator> evaluator(
       new FitnessEvaluator(original, attrs, options));
-  auto bind = [&](bool enabled, const char* name, ParamMap params,
-                  std::unique_ptr<BoundMeasure>* slot) -> Status {
-    if (!enabled) return Status::OK();
-    EVOCAT_ASSIGN_OR_RETURN(
-        std::unique_ptr<Measure> measure,
-        MeasureRegistry::Global().Create(name, std::move(params)));
-    EVOCAT_ASSIGN_OR_RETURN(*slot, measure->Bind(original, attrs));
-    return Status::OK();
-  };
-  EVOCAT_RETURN_NOT_OK(bind(
-      options.use_ctbil, "CTBIL",
-      {{"max_dimension", std::to_string(options.ctbil_max_dimension)}},
-      &evaluator->ctbil_));
-  EVOCAT_RETURN_NOT_OK(bind(options.use_dbil, "DBIL", {}, &evaluator->dbil_));
-  EVOCAT_RETURN_NOT_OK(bind(options.use_ebil, "EBIL", {}, &evaluator->ebil_));
-  EVOCAT_RETURN_NOT_OK(bind(
-      options.use_id, "ID",
-      {{"window_percent", FormatDouble(options.id_window_percent)}},
-      &evaluator->id_));
-  EVOCAT_RETURN_NOT_OK(bind(options.use_dbrl, "DBRL", {}, &evaluator->dbrl_));
-  EVOCAT_RETURN_NOT_OK(bind(
-      options.use_prl, "PRL",
-      {{"em_iterations", std::to_string(options.prl_em_iterations)}},
-      &evaluator->prl_));
-  EVOCAT_RETURN_NOT_OK(bind(
-      options.use_rsrl, "RSRL",
-      {{"assumed_p_percent", FormatDouble(options.rsrl_assumed_p_percent)}},
-      &evaluator->rsrl_));
+  const std::vector<FitnessMeasure>& table = FitnessMeasures();
+  for (size_t i = 0; i < table.size(); ++i) {
+    const FitnessMeasure& measure = table[i];
+    if (!(options.*measure.enabled)) continue;
+    EVOCAT_ASSIGN_OR_RETURN(std::unique_ptr<Measure> instance,
+                            MeasureRegistry::Global().Create(
+                                measure.name, measure.params(options)));
+    Slot slot;
+    slot.index = i;
+    slot.kind = instance->Kind();
+    EVOCAT_ASSIGN_OR_RETURN(slot.bound, instance->Bind(original, attrs));
+    slot.pinned_fraction = PinnedFraction(options, measure.key);
+    evaluator->slots_.push_back(std::move(slot));
+  }
   return evaluator;
 }
 
-namespace {
-
-/// Folds the seven per-measure values (NaN = disabled) into IL/DR means and
-/// the aggregate score — shared by the full and incremental paths so both
-/// run the identical floating-point sequence.
-FitnessBreakdown FoldBreakdown(double ctbil, double dbil, double ebil,
-                               double id, double dbrl, double prl, double rsrl,
-                               ScoreAggregation aggregation, double il_weight) {
+template <typename ScoreOf>
+FitnessBreakdown FitnessEvaluator::Fold(ScoreOf score_of) const {
+  const std::vector<FitnessMeasure>& table = FitnessMeasures();
   FitnessBreakdown b;
-  b.ctbil = ctbil;
-  b.dbil = dbil;
-  b.ebil = ebil;
-  b.id = id;
-  b.dbrl = dbrl;
-  b.prl = prl;
-  b.rsrl = rsrl;
+  for (const FitnessMeasure& measure : table) b.*measure.field = kNaN;
   double il_sum = 0.0, dr_sum = 0.0;
   int il_count = 0, dr_count = 0;
-  for (double v : {b.ctbil, b.dbil, b.ebil}) {
-    if (!std::isnan(v)) {
-      il_sum += v;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    double value = score_of(i);
+    b.*table[slots_[i].index].field = value;
+    if (std::isnan(value)) continue;
+    if (slots_[i].kind == MeasureKind::kInformationLoss) {
+      il_sum += value;
       il_count += 1;
-    }
-  }
-  for (double v : {b.id, b.dbrl, b.prl, b.rsrl}) {
-    if (!std::isnan(v)) {
-      dr_sum += v;
+    } else {
+      dr_sum += value;
       dr_count += 1;
     }
   }
   b.il = il_count > 0 ? il_sum / il_count : 0.0;
   b.dr = dr_count > 0 ? dr_sum / dr_count : 0.0;
-  b.score = AggregateScore(aggregation, b.il, b.dr, il_weight);
+  b.score = Score(b.il, b.dr);
   return b;
 }
 
-}  // namespace
-
 FitnessBreakdown FitnessEvaluator::Evaluate(const Dataset& masked) const {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  auto value = [&](const std::unique_ptr<BoundMeasure>& bound) {
-    return bound ? bound->Compute(masked) : kNaN;
-  };
-  FitnessBreakdown b = FoldBreakdown(
-      value(ctbil_), value(dbil_), value(ebil_), value(id_), value(dbrl_),
-      value(prl_), value(rsrl_), options_.aggregation, options_.il_weight);
+  FitnessBreakdown b =
+      Fold([&](size_t i) { return slots_[i].bound->Compute(masked); });
   num_evaluations_.fetch_add(1, std::memory_order_relaxed);
   return b;
 }
@@ -252,36 +268,20 @@ std::unique_ptr<FitnessState> FitnessEvaluator::BindState(
   // the file; single-cell mutations stay serial.
   state->parallel_segment_cells_ = std::max<int64_t>(32, total_cells / 256);
   // Per-measure cost model: the state's own default rebuild fraction,
-  // unless overridden — per measure first, then globally.
-  auto bind = [&](const std::unique_ptr<BoundMeasure>& bound, const char* name,
-                  std::unique_ptr<MeasureState>* slot) {
-    if (!bound) return;
-    *slot = bound->BindState(masked);
-    (*slot)->set_total_protected_cells(total_cells);
-    double fraction = options_.delta_rebuild_fraction;
-    for (const auto& [measure, value] : options_.measure_rebuild_fractions) {
-      if (ToLower(measure) == ToLower(name)) fraction = value;
+  // unless the options pin one.
+  for (const Slot& slot : slots_) {
+    std::unique_ptr<MeasureState> measure_state = slot.bound->BindState(masked);
+    measure_state->set_total_protected_cells(total_cells);
+    if (slot.pinned_fraction > 0.0) {
+      measure_state->set_rebuild_fraction(slot.pinned_fraction);
     }
-    if (fraction > 0.0) (*slot)->set_rebuild_fraction(fraction);
-  };
-  bind(ctbil_, "CTBIL", &state->ctbil_);
-  bind(dbil_, "DBIL", &state->dbil_);
-  bind(ebil_, "EBIL", &state->ebil_);
-  bind(id_, "ID", &state->id_);
-  bind(dbrl_, "DBRL", &state->dbrl_);
-  bind(prl_, "PRL", &state->prl_);
-  bind(rsrl_, "RSRL", &state->rsrl_);
+    state->states_.push_back(std::move(measure_state));
+  }
   if (options_.probe_rebuild_fractions) {
     ProbeAndApplyFractions(masked, state.get(), total_cells);
   }
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  auto value = [](const std::unique_ptr<MeasureState>& s) {
-    return s ? s->Score() : kNaN;
-  };
-  state->breakdown_ = FoldBreakdown(
-      value(state->ctbil_), value(state->dbil_), value(state->ebil_),
-      value(state->id_), value(state->dbrl_), value(state->prl_),
-      value(state->rsrl_), options_.aggregation, options_.il_weight);
+  state->breakdown_ =
+      Fold([&](size_t i) { return state->states_[i]->Score(); });
   state->prev_breakdown_ = state->breakdown_;
   num_evaluations_.fetch_add(1, std::memory_order_relaxed);
   return state;
@@ -291,17 +291,6 @@ void FitnessEvaluator::ProbeAndApplyFractions(const Dataset& masked,
                                               FitnessState* state,
                                               int64_t total_cells) const {
   std::lock_guard<std::mutex> lock(probe_mutex_);
-  auto pinned = [&](const char* name) {
-    if (options_.delta_rebuild_fraction > 0.0) return true;
-    for (const auto& [measure, value] : options_.measure_rebuild_fractions) {
-      (void)value;
-      if (ToLower(measure) == ToLower(name)) return true;
-    }
-    return false;
-  };
-  std::unique_ptr<MeasureState>* slots[7] = {
-      &state->ctbil_, &state->dbil_, &state->ebil_, &state->id_,
-      &state->dbrl_,  &state->prl_,  &state->rsrl_};
   if (!probed_) {
     // Time the two cost-model legs per measure with no-op segments: a spread
     // batch forced down the incremental path (threshold pinned to infinity)
@@ -313,25 +302,23 @@ void FitnessEvaluator::ProbeAndApplyFractions(const Dataset& masked,
     constexpr int kReps = 2;
     SegmentDelta spread = NoOpSegment(masked, attrs_, kProbeRows);
     SegmentDelta single = NoOpSegment(masked, attrs_, 1);
-    for (int i = 0; i < 7; ++i) {
-      if (!*slots[i] || pinned(kSlotNames[i])) continue;
-      MeasureState* s = slots[i]->get();
-      double t_inc = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].pinned_fraction > 0.0) continue;
+      MeasureState* s = state->states_[i].get();
+      auto fastest = [&](const SegmentDelta& segment) {
+        double best = std::numeric_limits<double>::infinity();
+        for (int rep = 0; rep < kReps; ++rep) {
+          Timer timer;
+          s->ApplySegment(masked, segment);
+          s->RevertSegment();
+          best = std::min(best, timer.ElapsedSeconds());
+        }
+        return best;
+      };
       s->set_full_rebuild_threshold(std::numeric_limits<int64_t>::max());
-      for (int rep = 0; rep < kReps; ++rep) {
-        Timer timer;
-        s->ApplySegment(masked, spread);
-        s->Revert();
-        t_inc = std::min(t_inc, timer.ElapsedSeconds());
-      }
-      double t_rebuild = std::numeric_limits<double>::infinity();
+      double t_inc = fastest(spread);
       s->set_full_rebuild_threshold(1);
-      for (int rep = 0; rep < kReps; ++rep) {
-        Timer timer;
-        s->ApplySegment(masked, single);
-        s->Revert();
-        t_rebuild = std::min(t_rebuild, timer.ElapsedSeconds());
-      }
+      double t_rebuild = fastest(single);
       s->set_full_rebuild_threshold(0);
       // Crossover point: the batch size (as a fraction of the protected
       // cells) where per-cell incremental work equals one rebuild. Timer
@@ -343,17 +330,17 @@ void FitnessEvaluator::ProbeAndApplyFractions(const Dataset& masked,
       double fraction =
           denom > 0.0 && std::isfinite(t_rebuild) ? t_rebuild / denom : 1.0;
       fraction = std::min(1.0, std::max(0.01, fraction));
-      probed_fraction_[i] = fraction;
-      ProbeFractionGauge(i)->Set(
-          static_cast<int64_t>(std::llround(fraction * 1e6)));
+      slots_[i].probed_fraction = fraction;
+      ProbeFractionGauge(slots_[i].index)
+          ->Set(static_cast<int64_t>(std::llround(fraction * 1e6)));
     }
     probed_ = true;
   }
   // Every bind (including the first) adopts the cached probe verdicts;
-  // pinned or disabled slots keep whatever BindState already set.
-  for (int i = 0; i < 7; ++i) {
-    if (*slots[i] && probed_fraction_[i] > 0.0) {
-      (*slots[i])->set_rebuild_fraction(probed_fraction_[i]);
+  // pinned slots keep whatever BindState already set.
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].probed_fraction > 0.0) {
+      state->states_[i]->set_rebuild_fraction(slots_[i].probed_fraction);
     }
   }
 }
@@ -362,10 +349,10 @@ std::vector<std::pair<std::string, double>>
 FitnessEvaluator::probed_rebuild_fractions() const {
   std::lock_guard<std::mutex> lock(probe_mutex_);
   std::vector<std::pair<std::string, double>> out;
-  if (!probed_) return out;
-  for (int i = 0; i < 7; ++i) {
-    if (probed_fraction_[i] > 0.0) out.emplace_back(kSlotNames[i],
-                                                    probed_fraction_[i]);
+  for (const Slot& slot : slots_) {
+    if (slot.probed_fraction > 0.0) {
+      out.emplace_back(FitnessMeasures()[slot.index].key, slot.probed_fraction);
+    }
   }
   return out;
 }
@@ -375,63 +362,44 @@ void FitnessState::ApplyDelta(const Dataset& masked_after,
                               const std::atomic<bool>* cancel) {
   prev_breakdown_ = breakdown_;
   DeltaAppliesCounter()->Increment();
-  MeasureState* states[7];
-  int slots[7];
-  int count = 0;
-  int slot_index = 0;
-  for (auto* slot : {&ctbil_, &dbil_, &ebil_, &id_, &dbrl_, &prl_, &rsrl_}) {
-    if (*slot) {
-      states[count] = slot->get();
-      slots[count] = slot_index;
-      ++count;
-    }
-    ++slot_index;
-  }
   // Heavy segments evaluate the independent measures concurrently (disjoint
-  // states, fixed fold order below ⇒ schedule-independent results); small
+  // states, fixed fold order ⇒ schedule-independent results); small
   // deltas stay serial — the per-measure updates are then cheaper than the
-  // fork/join would be.
-  bool heavy = segment.num_cells() >= parallel_segment_cells_;
-  for (int i = 0; i < count && !heavy; ++i) {
-    heavy = segment.num_cells() >= states[i]->full_rebuild_threshold();
-  }
-  // Telemetry only: which measures will treat this batch as a full rebuild.
-  // Same comparison the states make inside ApplySegment, so the counters
-  // name the exact cause of a "delta path got slow" regression.
-  if (obs::MetricsEnabled()) {
-    for (int i = 0; i < count; ++i) {
-      if (segment.num_cells() >= states[i]->full_rebuild_threshold()) {
-        RebuildFallbackCounter(slots[i])->Increment();
-      }
+  // fork/join would be. The rebuild-fallback counters (telemetry only) name
+  // the measures that will treat this batch as a full rebuild: the same
+  // comparison the states make inside ApplySegment.
+  const int64_t cells = segment.num_cells();
+  bool heavy = cells >= parallel_segment_cells_;
+  const bool count_fallbacks = obs::MetricsEnabled();
+  for (size_t i = 0; i < states_.size(); ++i) {
+    if (cells < states_[i]->full_rebuild_threshold()) continue;
+    heavy = true;
+    if (count_fallbacks) {
+      RebuildFallbackCounter(evaluator_->slots_[i].index)->Increment();
     }
   }
-  if (heavy && count > 1) {
-    ParallelFor(0, count, [&](int64_t i) {
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
-      states[i]->ApplySegment(masked_after, segment);
+  auto cancelled = [cancel] {
+    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+  };
+  if (heavy && states_.size() > 1) {
+    ParallelFor(0, static_cast<int64_t>(states_.size()), [&](int64_t i) {
+      if (cancelled()) return;
+      states_[static_cast<size_t>(i)]->ApplySegment(masked_after, segment);
     });
   } else {
-    for (int i = 0; i < count; ++i) {
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
-      states[i]->ApplySegment(masked_after, segment);
+    for (const auto& state : states_) {
+      if (cancelled()) break;
+      state->ApplySegment(masked_after, segment);
     }
   }
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  auto value = [](const std::unique_ptr<MeasureState>& s) {
-    return s ? s->Score() : kNaN;
-  };
-  breakdown_ = FoldBreakdown(value(ctbil_), value(dbil_), value(ebil_),
-                             value(id_), value(dbrl_), value(prl_),
-                             value(rsrl_), evaluator_->options_.aggregation,
-                             evaluator_->options_.il_weight);
+  breakdown_ =
+      evaluator_->Fold([this](size_t i) { return states_[i]->Score(); });
   evaluator_->num_evaluations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FitnessState::Revert() {
   DeltaRevertsCounter()->Increment();
-  for (auto* slot : {&ctbil_, &dbil_, &ebil_, &id_, &dbrl_, &prl_, &rsrl_}) {
-    if (*slot) (*slot)->Revert();
-  }
+  for (const auto& state : states_) state->RevertSegment();
   breakdown_ = prev_breakdown_;
 }
 

@@ -6,6 +6,10 @@
 /// `max(IL, DR)` (paper Eq. 2). Lower scores are better. Individual measures
 /// can be disabled for ablation studies; disabled measures are excluded from
 /// the averages and reported as NaN in the breakdown.
+///
+/// The seven measures are rows of one table, `FitnessMeasures()`: the
+/// evaluator binds and folds them in table order, and the JobSpec, the
+/// artifact JSON and the tools iterate the same rows instead of naming them.
 
 #ifndef EVOCAT_METRICS_FITNESS_H_
 #define EVOCAT_METRICS_FITNESS_H_
@@ -17,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/params.h"
 #include "common/result.h"
 #include "metrics/measure.h"
 
@@ -97,12 +102,6 @@ class FitnessState {
   void ApplyDelta(const Dataset& masked_after, const SegmentDelta& segment,
                   const std::atomic<bool>* cancel = nullptr);
 
-  /// \brief Convenience overload grouping a flat batch.
-  void ApplyDelta(const Dataset& masked_after,
-                  const std::vector<CellDelta>& deltas) {
-    ApplyDelta(masked_after, SegmentDelta::FromCells(deltas));
-  }
-
   /// \brief Undoes the most recent ApplyDelta (single level).
   void Revert();
 
@@ -114,13 +113,8 @@ class FitnessState {
   /// Segment size (cells) from which the per-measure updates run
   /// concurrently; set by BindState from the file's protected-cell count.
   int64_t parallel_segment_cells_ = INT64_MAX;
-  std::unique_ptr<MeasureState> ctbil_;
-  std::unique_ptr<MeasureState> dbil_;
-  std::unique_ptr<MeasureState> ebil_;
-  std::unique_ptr<MeasureState> id_;
-  std::unique_ptr<MeasureState> dbrl_;
-  std::unique_ptr<MeasureState> prl_;
-  std::unique_ptr<MeasureState> rsrl_;
+  /// One state per enabled measure, in the evaluator's slot order.
+  std::vector<std::unique_ptr<MeasureState>> states_;
   FitnessBreakdown breakdown_;
   FitnessBreakdown prev_breakdown_;
 };
@@ -216,15 +210,27 @@ class FitnessEvaluator {
   /// \brief Number of `Evaluate` calls served (for the timing tables).
   int64_t num_evaluations() const { return num_evaluations_.load(); }
 
-  /// \brief The rebuild fractions the bind-time probe chose, as (registry
-  /// slot name, fraction) pairs — empty until the probe has run (it runs on
-  /// the first `BindState` when `Options::probe_rebuild_fractions` is on).
+  /// \brief The rebuild fractions the bind-time probe chose, as (measure
+  /// key, fraction) pairs — empty until the probe has run (it runs on the
+  /// first `BindState` when `Options::probe_rebuild_fractions` is on).
   /// Persisted into the RunArtifacts telemetry section so probed runs stay
   /// explainable.
   std::vector<std::pair<std::string, double>> probed_rebuild_fractions() const;
 
  private:
   friend class FitnessState;
+
+  /// One enabled measure, in table order (which is also the fold order).
+  struct Slot {
+    size_t index = 0;  ///< row of FitnessMeasures()
+    MeasureKind kind = MeasureKind::kInformationLoss;
+    std::unique_ptr<BoundMeasure> bound;
+    /// Rebuild fraction the options pin for this measure (0 = unpinned:
+    /// the state's own default, which the probe may replace).
+    double pinned_fraction = 0.0;
+    /// The probe's verdict (0 = not probed); guarded by `probe_mutex_`.
+    mutable double probed_fraction = 0.0;
+  };
 
   FitnessEvaluator(const Dataset& original, std::vector<int> attrs,
                    Options options)
@@ -233,14 +239,15 @@ class FitnessEvaluator {
   const Dataset* original_;
   std::vector<int> attrs_;
   Options options_;
+  std::vector<Slot> slots_;
 
-  std::unique_ptr<BoundMeasure> ctbil_;
-  std::unique_ptr<BoundMeasure> dbil_;
-  std::unique_ptr<BoundMeasure> ebil_;
-  std::unique_ptr<BoundMeasure> id_;
-  std::unique_ptr<BoundMeasure> dbrl_;
-  std::unique_ptr<BoundMeasure> prl_;
-  std::unique_ptr<BoundMeasure> rsrl_;
+  /// \brief Folds per-slot scores (`score_of(i)` for slot i) into a
+  /// breakdown: disabled measures read NaN, IL and DR are the means of the
+  /// non-NaN scores of their kind summed in slot order. The full and the
+  /// incremental path both fold here, so they run the identical
+  /// floating-point sequence.
+  template <typename ScoreOf>
+  FitnessBreakdown Fold(ScoreOf score_of) const;
 
   /// \brief Runs the bind-time probe once (first caller wins; later binds
   /// reuse the cached fractions) and applies the chosen fractions to
@@ -251,8 +258,27 @@ class FitnessEvaluator {
   mutable std::atomic<int64_t> num_evaluations_{0};
   mutable std::mutex probe_mutex_;
   mutable bool probed_ = false;
-  mutable double probed_fraction_[7] = {0, 0, 0, 0, 0, 0, 0};
 };
+
+/// \brief One measure of the fitness: its registry name and how it maps
+/// onto the evaluator's options and breakdown. The measure's kind (IL or
+/// DR) is not stored here; it comes from `Measure::Kind()`.
+struct FitnessMeasure {
+  const char* name;  ///< registry name, e.g. "CTBIL"
+  const char* key;   ///< lower-case name: artifact JSON and telemetry key
+  bool FitnessEvaluator::Options::*enabled;  ///< ablation switch
+  double FitnessBreakdown::*field;           ///< breakdown score
+  /// Registry parameters of the measure, built from the options.
+  ParamMap (*params)(const FitnessEvaluator::Options& options);
+};
+
+/// \brief The seven measures in fold order: CTBIL, DBIL, EBIL, ID, DBRL,
+/// PRL, RSRL.
+const std::vector<FitnessMeasure>& FitnessMeasures();
+
+/// \brief Fails unless `options` enable at least one information-loss and
+/// one disclosure-risk measure (kinds by `Measure::Kind()`).
+Status CheckMeasureSelection(const FitnessEvaluator::Options& options);
 
 }  // namespace metrics
 }  // namespace evocat

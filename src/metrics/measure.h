@@ -239,17 +239,6 @@ class MeasureState {
   /// \brief Current score in [0, 100]; cached, O(1).
   virtual double Score() const = 0;
 
-  /// \brief Convenience wrapper: groups `deltas` and applies them as one
-  /// segment. Prefer `ApplySegment` on hot paths — the grouping is then
-  /// computed once and shared across measures.
-  void ApplyDelta(const Dataset& masked_after,
-                  const std::vector<CellDelta>& deltas) {
-    ApplySegment(masked_after, SegmentDelta::FromCells(deltas));
-  }
-
-  /// \brief Alias of RevertSegment (pairs with ApplyDelta).
-  void Revert() { RevertSegment(); }
-
   /// \brief Fraction of the protected cells at which this state prefers a
   /// full rebuild over its incremental update (the measure's cost model;
   /// ~1.0 for the O(cell) counting measures, ~0.5 for the linkage attacks).

@@ -1,10 +1,14 @@
 #include "api/artifacts_json.h"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/string_utils.h"
 #include "data/csv.h"
+#include "metrics/registry.h"
 
 namespace evocat {
 namespace api {
@@ -112,6 +116,39 @@ TEST(ArtifactsJsonTest, PrunedArtifactsOmitPopulationKeys) {
   EXPECT_EQ(json.Find("final_population"), nullptr);
   EXPECT_EQ(json.Find("history"), nullptr);
   EXPECT_NE(json.Find("final_scores"), nullptr);
+}
+
+TEST(FitnessMeasuresTest, TableMatchesRegistryKindsAndArtifactKeys) {
+  const std::vector<metrics::FitnessMeasure>& table =
+      metrics::FitnessMeasures();
+  ASSERT_EQ(table.size(), 7u);
+  for (size_t i = 0; i < table.size(); ++i) {
+    const metrics::FitnessMeasure& measure = table[i];
+    EXPECT_EQ(measure.key, ToLower(measure.name));
+    auto instance = metrics::MeasureRegistry::Global().Create(measure.name);
+    ASSERT_TRUE(instance.ok()) << measure.name << " is not registered";
+    // Fold order: the three information-loss measures, then the four
+    // disclosure-risk measures.
+    EXPECT_EQ(instance.ValueOrDie()->Kind(),
+              i < 3 ? metrics::MeasureKind::kInformationLoss
+                    : metrics::MeasureKind::kDisclosureRisk)
+        << measure.name;
+  }
+
+  // Every breakdown in the artifacts lists the seven keys in table order,
+  // then il, dr and score.
+  RunArtifacts artifacts = TinyArtifacts();
+  JsonValue json = ArtifactsToJson(artifacts);
+  const JsonValue* fitness = json.Find("best")->Find("fitness");
+  ASSERT_NE(fitness, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : fitness->members()) keys.push_back(key);
+  std::vector<std::string> expected;
+  for (const metrics::FitnessMeasure& measure : table) {
+    expected.push_back(measure.key);
+  }
+  expected.insert(expected.end(), {"il", "dr", "score"});
+  EXPECT_EQ(keys, expected);
 }
 
 }  // namespace

@@ -260,17 +260,16 @@ TEST(JobSpecValidateTest, NeedsBothMeasureKinds) {
             std::string::npos);
 }
 
-TEST(JobSpecParseTest, LegacyMeasuresRebuildFractionAliasStillParses) {
-  // The knob moved from measures.* into the fitness cost-model block; old
-  // specs keep working and re-serialize into the new home.
-  JobSpec spec = JobSpec::FromJsonText(
-                     R"({"measures": {"delta_rebuild_fraction": 0.25}})")
-                     .ValueOrDie();
-  EXPECT_DOUBLE_EQ(spec.fitness.delta_rebuild_fraction, 0.25);
-  std::string dumped = spec.ToJsonText();
-  JobSpec reparsed = JobSpec::FromJsonText(dumped).ValueOrDie();
-  EXPECT_DOUBLE_EQ(reparsed.fitness.delta_rebuild_fraction, 0.25);
-  EXPECT_EQ(reparsed.ToJsonText(), dumped);
+TEST(JobSpecParseTest, LegacyMeasuresRebuildFractionAliasIsRejected) {
+  // The knob lives only in the fitness cost-model block; the old measures.*
+  // spelling is an unknown field like any other.
+  auto legacy = JobSpec::FromJsonText(
+      R"({"measures": {"delta_rebuild_fraction": 0.25}})");
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_NE(legacy.status().message().find(
+                "unknown field 'measures.delta_rebuild_fraction'"),
+            std::string::npos)
+      << legacy.status().ToString();
 }
 
 TEST(JobSpecValidateTest, FitnessRebuildTuningIsValidated) {

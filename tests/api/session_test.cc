@@ -221,20 +221,11 @@ TEST(SessionTest, SkewedBatchWorkStealingMatchesSoloRuns) {
   }
 
   Session ws_session;
-  Session::BatchOptions stealing;
-  stealing.work_stealing = true;
-  std::vector<Result<RunArtifacts>> ws = ws_session.RunBatch(jobs, stealing);
-
-  Session legacy_session;
-  Session::BatchOptions one_per_worker;
-  one_per_worker.work_stealing = false;
-  std::vector<Result<RunArtifacts>> legacy =
-      legacy_session.RunBatch(jobs, one_per_worker);
+  std::vector<Result<RunArtifacts>> ws = ws_session.RunBatch(jobs);
 
   ASSERT_EQ(ws.size(), jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(ws[i].ok()) << ws[i].status().ToString();
-    ASSERT_TRUE(legacy[i].ok()) << legacy[i].status().ToString();
     Session solo_session;
     RunArtifacts solo = solo_session.Run(jobs[i]).ValueOrDie();
     const RunArtifacts& stolen = ws[i].ValueOrDie();
@@ -242,8 +233,6 @@ TEST(SessionTest, SkewedBatchWorkStealingMatchesSoloRuns) {
     EXPECT_DOUBLE_EQ(stolen.final_scores.mean, solo.final_scores.mean);
     EXPECT_DOUBLE_EQ(stolen.final_scores.max, solo.final_scores.max);
     EXPECT_TRUE(stolen.best_data.SameCodes(solo.best_data));
-    EXPECT_TRUE(
-        legacy[i].ValueOrDie().best_data.SameCodes(solo.best_data));
   }
 }
 

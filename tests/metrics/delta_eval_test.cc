@@ -1,7 +1,7 @@
 // Randomized delta-vs-full equivalence: long sequences of mutations and
 // crossover-style segment swaps are applied to a masked file while each
 // measure's incremental state tracks them; after every batch the state's
-// score must match a from-scratch Compute() within 1e-9, and Revert() must
+// score must match a from-scratch Compute() within 1e-9, and a revert must
 // restore the previous score exactly. Also exercises the automatic
 // full-rebuild fallback for oversized batches and the COW dataset plumbing
 // the engine relies on.
@@ -63,8 +63,8 @@ World MakeWorld(uint64_t seed, int64_t rows = 120) {
 }
 
 /// Applies a random batch of 1..max_cells distinct-cell changes to `masked`
-/// and returns the deltas (old -> new per cell).
-std::vector<CellDelta> RandomBatch(Dataset* masked,
+/// and returns them as one segment (old -> new per cell).
+SegmentDelta RandomBatch(Dataset* masked,
                                    const std::vector<int>& attrs, Rng* rng,
                                    int max_cells) {
   int cells = static_cast<int>(rng->UniformInt(1, max_cells));
@@ -89,7 +89,7 @@ std::vector<CellDelta> RandomBatch(Dataset* masked,
     masked->SetCode(delta.row, delta.attr, delta.new_code);
     deltas.push_back(delta);
   }
-  return deltas;
+  return SegmentDelta::FromCells(deltas);
 }
 
 void RunMeasureSequence(const Measure& measure, uint64_t seed, int steps,
@@ -109,23 +109,23 @@ void RunMeasureSequence(const Measure& measure, uint64_t seed, int steps,
     double score_before = state->Score();
     Dataset before = world.masked.Clone();
     auto deltas = RandomBatch(&world.masked, world.attrs, &rng, max_cells);
-    state->ApplyDelta(world.masked, deltas);
+    state->ApplySegment(world.masked, deltas);
     double full = bound->Compute(world.masked);
     ASSERT_NEAR(state->Score(), full, kTol)
         << measure.Name() << " diverged at step " << step << " (batch of "
-        << deltas.size() << " cells)";
+        << deltas.num_cells() << " cells)";
 
     // Every fourth batch: revert both the state and the file, confirm the
     // state rewinds exactly, then re-apply so the walk keeps moving.
     if (step % 4 == 3) {
-      state->Revert();
+      state->RevertSegment();
       ASSERT_NEAR(state->Score(), score_before, kTol)
           << measure.Name() << " revert broke at step " << step;
       Dataset after = world.masked;
       world.masked = before;
       ASSERT_NEAR(state->Score(), bound->Compute(world.masked), kTol);
       world.masked = after;
-      state->ApplyDelta(world.masked, deltas);
+      state->ApplySegment(world.masked, deltas);
       ASSERT_NEAR(state->Score(), full, kTol)
           << measure.Name() << " re-apply after revert at step " << step;
     }
@@ -345,13 +345,10 @@ TEST(DeltaEvalTest, FitnessStateMatchesEvaluatorAndReverts) {
     state->ApplyDelta(world.masked, deltas);
     full = evaluator->Evaluate(world.masked);
     ASSERT_NEAR(state->breakdown().score, full.score, kTol) << "step " << step;
-    ASSERT_NEAR(state->breakdown().ctbil, full.ctbil, kTol);
-    ASSERT_NEAR(state->breakdown().dbil, full.dbil, kTol);
-    ASSERT_NEAR(state->breakdown().ebil, full.ebil, kTol);
-    ASSERT_NEAR(state->breakdown().id, full.id, kTol);
-    ASSERT_NEAR(state->breakdown().dbrl, full.dbrl, kTol);
-    ASSERT_NEAR(state->breakdown().prl, full.prl, kTol);
-    ASSERT_NEAR(state->breakdown().rsrl, full.rsrl, kTol);
+    for (const FitnessMeasure& measure : FitnessMeasures()) {
+      ASSERT_NEAR(state->breakdown().*measure.field, full.*measure.field, kTol)
+          << measure.name << " at step " << step;
+    }
     if (step % 5 == 4) {
       state->Revert();
       ASSERT_NEAR(state->breakdown().score, score_before, kTol);
@@ -361,24 +358,47 @@ TEST(DeltaEvalTest, FitnessStateMatchesEvaluatorAndReverts) {
 }
 
 TEST(DeltaEvalTest, FitnessStateRespectsAblation) {
-  World world = MakeWorld(51);
-  FitnessEvaluator::Options options;
-  options.use_ctbil = false;
-  options.use_prl = false;
-  auto evaluator =
-      std::move(FitnessEvaluator::Create(world.original, world.attrs, options))
-          .ValueOrDie();
-  auto state = evaluator->BindState(world.masked);
-  EXPECT_TRUE(std::isnan(state->breakdown().ctbil));
-  EXPECT_TRUE(std::isnan(state->breakdown().prl));
+  // Drop each measure in turn: the state keeps NaN in exactly its field and
+  // tracks a full Evaluate, field by field, through applies and reverts.
+  for (const FitnessMeasure& dropped : FitnessMeasures()) {
+    World world = MakeWorld(51);
+    FitnessEvaluator::Options options;
+    options.prl_em_iterations = 10;
+    options.*dropped.enabled = false;
+    auto evaluator = std::move(FitnessEvaluator::Create(world.original,
+                                                        world.attrs, options))
+                         .ValueOrDie();
+    auto state = evaluator->BindState(world.masked);
+    auto expect_tracks = [&](const Dataset& masked, int step) {
+      FitnessBreakdown full = evaluator->Evaluate(masked);
+      for (const FitnessMeasure& measure : FitnessMeasures()) {
+        double value = state->breakdown().*measure.field;
+        if (&measure == &dropped) {
+          ASSERT_TRUE(std::isnan(value)) << measure.name << " step " << step;
+        } else {
+          ASSERT_NEAR(value, full.*measure.field, kTol)
+              << "without " << dropped.name << ": " << measure.name
+              << " at step " << step;
+        }
+      }
+      ASSERT_NEAR(state->breakdown().il, full.il, kTol) << dropped.name;
+      ASSERT_NEAR(state->breakdown().dr, full.dr, kTol) << dropped.name;
+      ASSERT_NEAR(state->breakdown().score, full.score, kTol) << dropped.name;
+    };
+    expect_tracks(world.masked, -1);
 
-  Rng rng(52);
-  for (int step = 0; step < 10; ++step) {
-    auto deltas = RandomBatch(&world.masked, world.attrs, &rng, 4);
-    state->ApplyDelta(world.masked, deltas);
-    FitnessBreakdown full = evaluator->Evaluate(world.masked);
-    ASSERT_NEAR(state->breakdown().score, full.score, kTol);
-    ASSERT_TRUE(std::isnan(state->breakdown().ctbil));
+    Rng rng(52);
+    for (int step = 0; step < 8; ++step) {
+      Dataset before = world.masked.Clone();
+      auto deltas = RandomBatch(&world.masked, world.attrs, &rng, 4);
+      state->ApplyDelta(world.masked, deltas);
+      expect_tracks(world.masked, step);
+      if (step % 3 == 2) {
+        state->Revert();
+        expect_tracks(before, step);
+        state->ApplyDelta(world.masked, deltas);
+      }
+    }
   }
 }
 
@@ -444,12 +464,12 @@ std::vector<double> ShardWalk(const Measure& measure, const World& world,
     for (int step = 0; step < 8; ++step) {
       Dataset before = masked.Clone();
       auto deltas = RandomBatch(&masked, world.attrs, &rng, 5);
-      state->ApplyDelta(masked, deltas);
+      state->ApplySegment(masked, deltas);
       record(masked, "apply");
       if (step == 3) {
-        state->Revert();
+        state->RevertSegment();
         record(before, "revert");
-        state->ApplyDelta(masked, deltas);
+        state->ApplySegment(masked, deltas);
       }
     }
     core::GenomeLayout layout(world.attrs, world.original.num_rows());
@@ -540,13 +560,11 @@ TEST(DeltaEvalTest, ConcurrentMeasureFanOutReadsSharedSegment) {
                                                 s + length - 1);
       state->ApplyDelta(masked, segment);
       FitnessBreakdown full = evaluator->Evaluate(masked);
-      ASSERT_NEAR(state->breakdown().ctbil, full.ctbil, kTol) << "leg " << leg;
-      ASSERT_NEAR(state->breakdown().dbil, full.dbil, kTol) << "leg " << leg;
-      ASSERT_NEAR(state->breakdown().ebil, full.ebil, kTol) << "leg " << leg;
-      ASSERT_NEAR(state->breakdown().id, full.id, kTol) << "leg " << leg;
-      ASSERT_NEAR(state->breakdown().dbrl, full.dbrl, kTol) << "leg " << leg;
-      ASSERT_NEAR(state->breakdown().prl, full.prl, kTol) << "leg " << leg;
-      ASSERT_NEAR(state->breakdown().rsrl, full.rsrl, kTol) << "leg " << leg;
+      for (const FitnessMeasure& measure : FitnessMeasures()) {
+        ASSERT_NEAR(state->breakdown().*measure.field, full.*measure.field,
+                    kTol)
+            << measure.name << " at leg " << leg;
+      }
       ASSERT_NEAR(state->breakdown().score, full.score, kTol) << "leg " << leg;
       state->Revert();
       ASSERT_EQ(state->breakdown().score, score_before) << "leg " << leg;

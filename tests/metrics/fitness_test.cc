@@ -8,6 +8,7 @@
 
 #include "../test_util.h"
 #include "datagen/generator.h"
+#include "metrics/registry.h"
 #include "protection/pram.h"
 
 namespace evocat {
@@ -151,23 +152,47 @@ TEST(FitnessEvaluatorTest, IdentityMaskingScoresAsExpected) {
 }
 
 TEST(FitnessEvaluatorTest, AblationDisablesMeasures) {
+  // Drop each measure in turn: NaN lands in exactly its field, the others
+  // keep their full-fitness values, and IL and DR become the means of the
+  // remaining measures of their kind.
   Dataset original = TestData();
   auto attrs = AllAttrs(original);
-  FitnessEvaluator::Options options;
-  options.use_ctbil = false;
-  options.use_id = false;
-  options.use_prl = false;
-  auto evaluator =
-      std::move(FitnessEvaluator::Create(original, attrs, options)).ValueOrDie();
   Rng rng(5);
   Dataset masked =
       protection::Pram(0.6).Protect(original, attrs, &rng).ValueOrDie();
-  FitnessBreakdown b = evaluator->Evaluate(masked);
-  EXPECT_TRUE(std::isnan(b.ctbil));
-  EXPECT_TRUE(std::isnan(b.id));
-  EXPECT_TRUE(std::isnan(b.prl));
-  EXPECT_NEAR(b.il, (b.dbil + b.ebil) / 2.0, 1e-9);
-  EXPECT_NEAR(b.dr, (b.dbrl + b.rsrl) / 2.0, 1e-9);
+  FitnessBreakdown all = std::move(FitnessEvaluator::Create(original, attrs))
+                             .ValueOrDie()
+                             ->Evaluate(masked);
+  for (const FitnessMeasure& dropped : FitnessMeasures()) {
+    FitnessEvaluator::Options options;
+    options.*dropped.enabled = false;
+    auto evaluator = std::move(FitnessEvaluator::Create(original, attrs,
+                                                        options))
+                         .ValueOrDie();
+    FitnessBreakdown b = evaluator->Evaluate(masked);
+    double il_sum = 0.0, dr_sum = 0.0;
+    int il_count = 0, dr_count = 0;
+    for (const FitnessMeasure& measure : FitnessMeasures()) {
+      double value = b.*measure.field;
+      if (&measure == &dropped) {
+        EXPECT_TRUE(std::isnan(value)) << measure.name;
+        continue;
+      }
+      EXPECT_EQ(value, all.*measure.field)
+          << "without " << dropped.name << ": " << measure.name;
+      auto instance = MeasureRegistry::Global().Create(measure.name);
+      ASSERT_TRUE(instance.ok()) << measure.name;
+      if (instance.ValueOrDie()->Kind() == MeasureKind::kInformationLoss) {
+        il_sum += value;
+        il_count += 1;
+      } else {
+        dr_sum += value;
+        dr_count += 1;
+      }
+    }
+    EXPECT_NEAR(b.il, il_sum / il_count, 1e-9) << "without " << dropped.name;
+    EXPECT_NEAR(b.dr, dr_sum / dr_count, 1e-9) << "without " << dropped.name;
+  }
 }
 
 TEST(FitnessEvaluatorTest, RejectsAllMeasuresDisabled) {
@@ -245,8 +270,8 @@ TEST(FitnessEvaluatorTest, ProbeKeepsScoresExactAndReportsFractions) {
   int32_t old_code = after.Code(3, attrs[0]);
   int32_t new_code = old_code == 0 ? 1 : 0;
   after.SetCode(3, attrs[0], new_code);
-  state->ApplyDelta(after,
-                    std::vector<CellDelta>{{3, attrs[0], old_code, new_code}});
+  state->ApplyDelta(
+      after, SegmentDelta::FromCells({{3, attrs[0], old_code, new_code}}));
   FitnessBreakdown oracle = baseline->Evaluate(after);
   EXPECT_NEAR(state->breakdown().score, oracle.score, 1e-9);
 

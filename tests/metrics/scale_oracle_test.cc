@@ -49,9 +49,10 @@ std::vector<std::unique_ptr<Measure>> AllMeasures() {
 }
 
 /// Draws a batch of 1..max_cells distinct-cell changes, applies them to
-/// `masked` and returns the deltas. Identical RNG state in = identical
-/// batch out, which is what lets every scheduler replay the same walk.
-std::vector<CellDelta> DrawBatch(Dataset* masked,
+/// `masked` and returns them as one segment. Identical RNG state in =
+/// identical batch out, which is what lets every scheduler replay the same
+/// walk.
+SegmentDelta DrawBatch(Dataset* masked,
                                  const std::vector<int>& attrs, Rng* rng,
                                  int max_cells) {
   int cells = static_cast<int>(rng->UniformInt(1, max_cells));
@@ -76,7 +77,7 @@ std::vector<CellDelta> DrawBatch(Dataset* masked,
     masked->SetCode(delta.row, delta.attr, delta.new_code);
     deltas.push_back(delta);
   }
-  return deltas;
+  return SegmentDelta::FromCells(deltas);
 }
 
 /// One full walk of a measure, bound and run on a `workers`-thread
@@ -110,12 +111,12 @@ Trace RunWalk(const Measure& measure, const ScaleWorld& world, uint64_t seed,
     for (int step = 0; step < steps; ++step) {
       Dataset before = masked.Clone();
       auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
-      state->ApplyDelta(masked, deltas);
+      state->ApplySegment(masked, deltas);
       record(masked, "apply", step);
       if (step % 3 == 2) {
-        state->Revert();
+        state->RevertSegment();
         record(before, "revert", step);
-        state->ApplyDelta(masked, deltas);
+        state->ApplySegment(masked, deltas);
         trace.scores.push_back(state->Score());
       }
     }
@@ -125,9 +126,9 @@ Trace RunWalk(const Measure& measure, const ScaleWorld& world, uint64_t seed,
     state->set_full_rebuild_threshold(1);
     Dataset before = masked.Clone();
     auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
-    state->ApplyDelta(masked, deltas);
+    state->ApplySegment(masked, deltas);
     record(masked, "rebuild", steps);
-    state->Revert();
+    state->RevertSegment();
     masked = std::move(before);
     record(masked, "rebuild revert", steps);
 

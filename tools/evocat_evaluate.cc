@@ -163,15 +163,8 @@ int main(int argc, char** argv) {
                                       b.il, b.dr));
 
   std::vector<std::string> disabled;
-  for (const auto& [name, value] :
-       {std::pair<const char*, double>{"CTBIL", b.ctbil},
-        {"DBIL", b.dbil},
-        {"EBIL", b.ebil},
-        {"ID", b.id},
-        {"DBRL", b.dbrl},
-        {"PRL", b.prl},
-        {"RSRL", b.rsrl}}) {
-    if (std::isnan(value)) disabled.push_back(name);
+  for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
+    if (std::isnan(b.*measure.field)) disabled.push_back(measure.name);
   }
   if (!disabled.empty()) {
     std::printf("note: '-' marks measures disabled in the spec (%s); they are "
