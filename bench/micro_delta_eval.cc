@@ -1,5 +1,5 @@
 // Micro-benchmark for the incremental (operator-delta) fitness evaluation
-// subsystem, plus an engine-level before/after throughput comparison.
+// subsystem, plus the engine's end-to-end throughput on it.
 //
 // Measures, on a >=1,000-record synthetic Adult file:
 //   1. per-measure single-cell (mutation) re-evaluation: full Compute vs
@@ -13,7 +13,7 @@
 //   4. a 12-protected-attribute PRL file: the compressed pattern-histogram
 //      delta path vs full Compute and vs a forced per-step rebuild (the
 //      former >8-attribute fallback);
-//   5. the GA engine run end to end with incremental_eval off vs on.
+//   5. the GA engine run end to end (generations/sec and final scores).
 //
 // Results are printed as CSV-ish lines and written machine-readably to
 // BENCH_engine.json (override the path with EVOCAT_BENCH_JSON) so the perf
@@ -518,32 +518,21 @@ int main(int argc, char** argv) {
       kernel_walk_s * 1e3, kernel_speedup,
       PackedColumn::SimdEnabled() ? 1 : 0, kernel_cells_equal ? 1 : 0);
 
-  // Engine before/after: identical seeds and generation budget, incremental
-  // evaluation off vs on.
+  // Engine end to end: the paper's experiment on the delta path.
   auto dataset_case = experiments::AdultCase();
   dataset_case.profile.num_records = rows;
   auto options = bench::BenchOptions(metrics::ScoreAggregation::kMean,
                                      engine_generations);
-  options.incremental_eval = false;
-  auto full_run =
+  auto engine_run =
       std::move(experiments::RunExperiment(dataset_case, options)).ValueOrDie();
-  options.incremental_eval = true;
-  auto delta_run =
-      std::move(experiments::RunExperiment(dataset_case, options)).ValueOrDie();
-
-  auto gens_per_sec = [](const experiments::ExperimentResult& result) {
-    double seconds = result.stats.mutation_total_seconds +
-                     result.stats.crossover_total_seconds;
-    return seconds > 0 ? static_cast<double>(result.history.size()) / seconds
-                       : 0.0;
-  };
-  double engine_speedup = gens_per_sec(full_run) > 0
-                              ? gens_per_sec(delta_run) / gens_per_sec(full_run)
-                              : 0.0;
-  std::printf("engine,full_gens_per_sec=%.2f,delta_gens_per_sec=%.2f,"
-              "speedup=%.1fx,final_min_full=%.4f,final_min_delta=%.4f\n",
-              gens_per_sec(full_run), gens_per_sec(delta_run), engine_speedup,
-              full_run.final_scores.min, delta_run.final_scores.min);
+  double engine_seconds = engine_run.stats.mutation_total_seconds +
+                          engine_run.stats.crossover_total_seconds;
+  double engine_gens_per_sec =
+      engine_seconds > 0
+          ? static_cast<double>(engine_run.history.size()) / engine_seconds
+          : 0.0;
+  std::printf("engine,gens_per_sec=%.2f,final_min=%.4f\n",
+              engine_gens_per_sec, engine_run.final_scores.min);
 
   bench::JsonObject json;
   json.Add("bench", std::string("micro_delta_eval"))
@@ -581,9 +570,7 @@ int main(int argc, char** argv) {
       .Add("crossover_segment", segment_json)
       .Add("prl_wide", prl_wide_json)
       .Add("ctbil_kernel", kernel_json)
-      .Add("engine_full", bench::EngineThroughputJson(full_run))
-      .Add("engine_incremental", bench::EngineThroughputJson(delta_run))
-      .Add("engine_speedup", engine_speedup);
+      .Add("engine_incremental", bench::EngineThroughputJson(engine_run));
 
   // Process-wide telemetry counters (fresh process, so totals == this run):
   // delta traffic plus the per-measure rebuild fallbacks that the cost model

@@ -14,6 +14,7 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/task_scheduler.h"
 #include "experiments/report.h"
 
 using namespace evocat;
@@ -27,11 +28,21 @@ int main() {
               "ratio ~ 2\n");
 
   // Serial offspring evaluation so crossover's 2-evaluation cost is visible
-  // in wall time exactly as in the paper's sequential implementation.
+  // in wall time exactly as in the paper's sequential implementation: the
+  // experiment runs as one task on a 1-worker scheduler, so every parallel
+  // loop inside it (crossover legs, measure fan-out, row shards) runs
+  // serially on that worker.
   auto dataset_case = experiments::CaseByName("flare").ValueOrDie();
   auto options =
       bench::BenchOptions(metrics::ScoreAggregation::kMax, /*generations=*/300);
-  auto result = experiments::RunExperiment(dataset_case, options);
+  Result<experiments::ExperimentResult> result(
+      Status::Internal("experiment not executed"));
+  TaskScheduler serial(1);
+  TaskScheduler::Group group;
+  serial.Submit(&group, [&] {
+    result = experiments::RunExperiment(dataset_case, options);
+  });
+  serial.Wait(&group);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;

@@ -362,8 +362,18 @@ void ParseGa(const JsonValue& json, core::GaConfig* ga, Status* status) {
   }
   f.Bool("mutation_excludes_current", &ga->mutation_excludes_current);
   f.Int("no_improvement_window", &ga->no_improvement_window);
-  f.Bool("parallel_offspring_eval", &ga->parallel_offspring_eval);
-  f.Bool("incremental_eval", &ga->incremental_eval);
+  // Retired schedule keys. Every run now scores offspring through the delta
+  // states on the parallel schedule, which is what `true` selected, so
+  // specs dumped before the keys were retired still parse and reproduce
+  // their runs; `false` named a path that no longer exists.
+  for (const char* retired : {"parallel_offspring_eval", "incremental_eval"}) {
+    bool value = true;
+    f.Bool(retired, &value);
+    if (!value) {
+      f.Fail(retired, "retired: every run uses what true selected, so only "
+                      "true is accepted");
+    }
+  }
   f.Finish();
 }
 
@@ -823,9 +833,6 @@ JsonValue JobSpec::ToJson() const {
               JsonValue::MakeBool(ga.mutation_excludes_current));
   ga_json.Set("no_improvement_window",
               JsonValue::MakeInt(ga.no_improvement_window));
-  ga_json.Set("parallel_offspring_eval",
-              JsonValue::MakeBool(ga.parallel_offspring_eval));
-  ga_json.Set("incremental_eval", JsonValue::MakeBool(ga.incremental_eval));
   json.Set("ga", std::move(ga_json));
 
   JsonValue strategy_json = JsonValue::MakeObject();

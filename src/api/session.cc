@@ -5,11 +5,11 @@
 #include <memory>
 
 #include "common/math_utils.h"
-#include "common/parallel.h"
 #include "common/params.h"
 #include "common/string_utils.h"
 #include "common/task_scheduler.h"
 #include "common/timer.h"
+#include "core/stepper.h"
 #include "data/csv.h"
 #include "datagen/generator.h"
 #include "evolve/registry.h"
@@ -320,20 +320,14 @@ Result<RunArtifacts> Session::Run(const JobSpec& input_spec,
     initial.push_back(std::move(individual));
   }
 
-  // Evaluate the seeds now: callers want the initial cloud, and best-removal
-  // needs scores. With incremental evaluation on, bind each member's delta
-  // state instead of running the full O(n²)-per-linkage-measure oracle — the
-  // state's breakdown is the same score, the engine reuses the bind, and at
-  // 10^5+ rows this is the difference between seconds and hours of seeding.
-  ParallelFor(0, static_cast<int64_t>(initial.size()), [&](int64_t i) {
-    core::Individual& member = initial[static_cast<size_t>(i)];
-    if (spec.ga.incremental_eval) {
-      member.eval_state = evaluator->BindState(member.data);
-      member.fitness = member.eval_state->breakdown();
-    } else {
-      member.fitness = evaluator->Evaluate(member.data);
-    }
-  });
+  // Score the seeds now: callers want the initial cloud, and best-removal
+  // needs scores. Binding each member's delta state gives the same score as
+  // the full O(n²)-per-linkage-measure oracle, the strategy reuses the bind,
+  // and at 10^5+ rows this is the difference between seconds and hours of
+  // seeding. The bind polls the cancel flag per member.
+  EVOCAT_RETURN_NOT_OK(core::EvaluateInitialPopulation(
+      evaluator.get(), &initial, nullptr,
+      control != nullptr ? &control->cancel : nullptr));
   std::stable_sort(initial.begin(), initial.end(),
                    [](const core::Individual& a, const core::Individual& b) {
                      return a.score() < b.score();

@@ -40,8 +40,7 @@ Result<EvolutionResult> EvolutionEngine::Run(
   result.history.reserve(static_cast<size_t>(config_.generations));
 
   EVOCAT_RETURN_NOT_OK(EvaluateInitialPopulation(
-      evaluator_, config_.incremental_eval, &initial,
-      &result.stats.initial_eval_seconds, cancel));
+      evaluator_, &initial, &result.stats.initial_eval_seconds, cancel));
 
   uint64_t next_id = 0;
   for (auto& individual : initial) individual.id = next_id++;

@@ -6,7 +6,10 @@
 /// Nb-best leader group, the mate proportionally from the whole population,
 /// deterministic-crowding replacement: each offspring competes with its own
 /// parent). The population stays sorted by ascending score. Lower score is
-/// better throughout.
+/// better throughout. The paper re-scores every offspring in full; here each
+/// offspring is scored from its parent's `metrics::FitnessState` (apply the
+/// operator's delta, revert on rejection), which tracks
+/// `FitnessEvaluator::Evaluate` to 1e-9.
 
 #ifndef EVOCAT_CORE_ENGINE_H_
 #define EVOCAT_CORE_ENGINE_H_
@@ -48,18 +51,6 @@ struct GaConfig {
   /// Early stop after this many generations without best-score improvement
   /// (0 disables; the paper runs a fixed generation budget).
   int no_improvement_window = 0;
-  /// Evaluate crossover offspring concurrently (on the shared work-stealing
-  /// pool). Applies to every leg: heavy legs (full evaluation or
-  /// rebuild-sized segments) overlap too, since their inner per-measure and
-  /// per-row loops fan out through nested work stealing instead of
-  /// serializing.
-  bool parallel_offspring_eval = true;
-  /// Score offspring through incremental delta evaluation: each population
-  /// member carries a `metrics::FitnessState`, and a mutation/crossover is
-  /// re-scored from its operator delta instead of a full re-walk of the
-  /// masked file. Scores agree with full evaluation to within 1e-9; set to
-  /// false to force the paper's original full-recompute path.
-  bool incremental_eval = true;
 };
 
 /// \brief Per-generation record (drives the paper's evolution figures).

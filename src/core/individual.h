@@ -28,9 +28,10 @@ struct Individual {
   std::string origin;
   /// Unique id within a run (assigned by the engine).
   uint64_t id = 0;
-  /// Incremental evaluation state for `data` (engine-managed; null when the
-  /// engine runs with `incremental_eval` off or the individual was never
-  /// evaluated through the delta path).
+  /// Incremental evaluation state for `data`, which scores this member's
+  /// offspring. Engine-managed: bound by `EvaluateInitialPopulation`, handed
+  /// to each accepted offspring, and null outside a run (runs return their
+  /// populations without states).
   std::shared_ptr<metrics::FitnessState> eval_state;
 
   double score() const { return fitness.score; }

@@ -75,30 +75,25 @@ std::string BaseOrigin(const std::string& origin) {
 }
 
 Status EvaluateInitialPopulation(const metrics::FitnessEvaluator* evaluator,
-                                 bool incremental,
                                  std::vector<Individual>* initial,
                                  double* eval_seconds,
                                  const std::atomic<bool>* cancel) {
   Timer init_timer;
-  // Embarrassingly parallel. With incremental evaluation on, binding a state
-  // costs about one evaluation and seeds the per-member delta machinery in
-  // the same pass. Cancellation is polled per iteration (not just between
-  // engine generations), so a cancel during a large population's initial
-  // sweep takes effect within one member evaluation.
+  // Embarrassingly parallel. Binding a state costs about one evaluation and
+  // seeds the per-member delta machinery in the same pass. Cancellation is
+  // polled per iteration (not just between engine generations), so a cancel
+  // during a large population's initial sweep takes effect within one
+  // member bind.
   ParallelFor(0, static_cast<int64_t>(initial->size()), [&](int64_t i) {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
     Individual& individual = (*initial)[static_cast<size_t>(i)];
-    if (incremental) {
-      // A member that arrives with a bound state (the session binds seeds
-      // for its initial-cloud report) keeps it — rebinding would double the
-      // most expensive pass of a large-population run.
-      if (individual.eval_state == nullptr) {
-        individual.eval_state = evaluator->BindState(individual.data);
-      }
-      individual.fitness = individual.eval_state->breakdown();
-    } else {
-      individual.fitness = evaluator->Evaluate(individual.data);
+    // A member that arrives with a bound state (the session binds seeds for
+    // its initial-cloud report) keeps it — rebinding would double the most
+    // expensive pass of a large-population run.
+    if (individual.eval_state == nullptr) {
+      individual.eval_state = evaluator->BindState(individual.data);
     }
+    individual.fitness = individual.eval_state->breakdown();
   });
   if (eval_seconds != nullptr) *eval_seconds = init_timer.ElapsedSeconds();
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
@@ -161,7 +156,6 @@ GenerationStepper::GenerationStepper(const metrics::FitnessEvaluator* evaluator,
 GenerationRecord GenerationStepper::Step(int generation) {
   Population& population = *population_;
   Rng& rng = *rng_;
-  const bool incremental = config_.incremental_eval;
 
   obs::TraceSpan trace_span("engine.generation");
   Timer gen_timer;
@@ -183,31 +177,23 @@ GenerationRecord GenerationStepper::Step(int generation) {
 
     auto& parent_state = population[parent_idx].eval_state;
     Timer eval_timer;
-    if (incremental && parent_state) {
-      metrics::SegmentDelta deltas;
-      if (mutation.new_code != mutation.old_code) {
-        deltas.Append(mutation.row, mutation.attr, mutation.old_code,
-                      mutation.new_code);
-      }
-      parent_state->ApplyDelta(child.data, deltas, cancel_);
-      child.fitness = parent_state->breakdown();
-    } else {
-      child.fitness = evaluator_->Evaluate(child.data);
+    metrics::SegmentDelta deltas;
+    if (mutation.new_code != mutation.old_code) {
+      deltas.Append(mutation.row, mutation.attr, mutation.old_code,
+                    mutation.new_code);
     }
+    parent_state->ApplyDelta(child.data, deltas, cancel_);
+    child.fitness = parent_state->breakdown();
     eval_seconds = eval_timer.ElapsedSeconds();
     record.evaluations = 1;
 
     // Elitist replacement: the offspring survives only if strictly better.
     if (child.score() < population[parent_idx].score()) {
-      if (incremental && parent_state) {
-        child.eval_state = std::move(parent_state);  // state is the child's
-      } else if (incremental) {
-        child.eval_state = evaluator_->BindState(child.data);
-      }
+      child.eval_state = std::move(parent_state);  // state is the child's
       population[parent_idx] = std::move(child);
       record.accepted = true;
       ++stats_->accepted_mutations;
-    } else if (incremental && parent_state) {
+    } else {
       parent_state->Revert();
     }
     ++stats_->mutation_generations;
@@ -228,70 +214,46 @@ GenerationRecord GenerationStepper::Step(int generation) {
     child1.id = (*next_id_)++;
     child2.id = (*next_id_)++;
 
-    const bool delta_pair = incremental && i1 != i2 &&
-                            population[i1].eval_state != nullptr &&
-                            population[i2].eval_state != nullptr;
-    // Both legs go through the one segment-delta entry point and may always
-    // overlap: a heavy leg (full evaluation or a rebuild-sized segment) no
-    // longer hogs or starves the pool, because nested regions — the
-    // per-measure fan-out inside FitnessState::ApplyDelta and every
-    // measure's own row loops — submit to the shared scheduler instead of
-    // serializing.
+    // Self-mating (i1 == i2) would apply both legs to one state, so those
+    // offspring are scored in full and an accepted one binds its own state.
+    const bool self_mating = i1 == i2;
+    // The legs always overlap: a heavy leg (a full evaluation or a
+    // rebuild-sized segment) does not hog or starve the pool, because nested
+    // regions — the per-measure fan-out inside FitnessState::ApplyDelta and
+    // every measure's own row loops — submit to the shared scheduler instead
+    // of serializing.
     Timer eval_timer;
-    if (delta_pair) {
-      auto eval_leg = [&](int64_t leg) {
-        Individual& child = leg == 0 ? child1 : child2;
-        size_t parent = leg == 0 ? i1 : i2;
-        const auto& deltas = leg == 0 ? segment.deltas1 : segment.deltas2;
-        population[parent].eval_state->ApplyDelta(child.data, deltas, cancel_);
-        child.fitness = population[parent].eval_state->breakdown();
-      };
-      if (config_.parallel_offspring_eval) {
-        ParallelFor(0, 2, eval_leg);
-      } else {
-        eval_leg(0);
-        eval_leg(1);
-      }
-    } else {
-      auto eval_leg = [&](int64_t leg) {
-        Individual& child = leg == 0 ? child1 : child2;
+    ParallelFor(0, 2, [&](int64_t leg) {
+      Individual& child = leg == 0 ? child1 : child2;
+      if (self_mating) {
         child.fitness = evaluator_->Evaluate(child.data);
-      };
-      if (config_.parallel_offspring_eval) {
-        ParallelFor(0, 2, eval_leg);
-      } else {
-        eval_leg(0);
-        eval_leg(1);
+        return;
       }
-    }
+      auto& state = population[leg == 0 ? i1 : i2].eval_state;
+      const auto& deltas = leg == 0 ? segment.deltas1 : segment.deltas2;
+      state->ApplyDelta(child.data, deltas, cancel_);
+      child.fitness = state->breakdown();
+    });
     eval_seconds = eval_timer.ElapsedSeconds();
     record.evaluations = 2;
 
     // Deterministic crowding: each offspring competes with its own parent.
     if (child1.score() < population[i1].score()) {
-      if (delta_pair) {
-        child1.eval_state = std::move(population[i1].eval_state);
-      } else if (incremental) {
-        child1.eval_state = evaluator_->BindState(child1.data);
-      }
+      child1.eval_state = self_mating ? evaluator_->BindState(child1.data)
+                                      : std::move(population[i1].eval_state);
       population[i1] = std::move(child1);
       record.accepted = true;
       ++stats_->accepted_crossovers;
-    } else if (delta_pair) {
+    } else if (!self_mating) {
       population[i1].eval_state->Revert();
     }
     if (child2.score() < population[i2].score()) {
-      if (delta_pair) {
-        child2.eval_state = std::move(population[i2].eval_state);
-      } else if (incremental) {
-        // Covers the i1 == i2 self-mating corner: offspring were scored in
-        // full, so an accepted one needs a fresh state of its own.
-        child2.eval_state = evaluator_->BindState(child2.data);
-      }
+      child2.eval_state = self_mating ? evaluator_->BindState(child2.data)
+                                      : std::move(population[i2].eval_state);
       population[i2] = std::move(child2);
       record.accepted = true;
       ++stats_->accepted_crossovers;
-    } else if (delta_pair) {
+    } else if (!self_mating) {
       population[i2].eval_state->Revert();
     }
     ++stats_->crossover_generations;

@@ -33,15 +33,14 @@ namespace core {
 /// instead of growing a nested chain across generations.
 std::string BaseOrigin(const std::string& origin);
 
-/// \brief Evaluates (and, with incremental evaluation, state-binds) every
-/// individual of `initial` in parallel.
+/// \brief Binds a `metrics::FitnessState` to every individual of `initial`
+/// that has none (in parallel) and sets each fitness from its state.
 ///
 /// `cancel` (optional) is polled at every loop iteration, so cancel latency
-/// is bounded by one member evaluation even for large populations; a
-/// canceled call returns `Status::Cancelled` (some members may remain
-/// unevaluated). `eval_seconds` (optional) receives the wall time.
+/// is bounded by one member bind even for large populations; a canceled
+/// call returns `Status::Cancelled` (some members may remain unbound).
+/// `eval_seconds` (optional) receives the wall time.
 Status EvaluateInitialPopulation(const metrics::FitnessEvaluator* evaluator,
-                                 bool incremental,
                                  std::vector<Individual>* initial,
                                  double* eval_seconds,
                                  const std::atomic<bool>* cancel);
@@ -60,8 +59,14 @@ Status ValidateRunInputs(const metrics::FitnessEvaluator* evaluator,
 /// selected parent, elitist replacement) or crossover (leader-group first
 /// parent, proportional mate, deterministic-crowding replacement), then the
 /// population is re-sorted. The caller owns population, RNG, stats and the
-/// id counter; the stepper only requires that `population` stays sorted
-/// between calls (which `Step` maintains).
+/// id counter; the stepper requires that `population` stays sorted between
+/// calls (which `Step` maintains) and that every member carries its bound
+/// `eval_state` (`EvaluateInitialPopulation` binds them; `Step` hands each
+/// accepted offspring a state). Offspring are scored by `ApplyDelta` on
+/// their parent's state and reverted on rejection. The one exception is
+/// self-mating (both crossover parents the same member), where the two legs
+/// would share one state: those offspring are scored by
+/// `FitnessEvaluator::Evaluate` and an accepted one binds a fresh state.
 class GenerationStepper {
  public:
   /// \param evaluator bound fitness evaluator; must outlive the stepper.

@@ -28,7 +28,7 @@ namespace evocat {
 namespace {
 
 /// Kernel telemetry, bumped once per bulk call (never per word): words the
-/// decode/count kernels walked, and which path served the call.
+/// decode kernel walked, and which path served the call.
 obs::Counter* WordsScannedCounter() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "evocat_delta_plane_words_scanned_total",
@@ -286,31 +286,6 @@ void PackedColumn::DecodeRange(int64_t begin, int64_t end, int32_t* out) const {
 #endif
   WalkWords(words, bits_, mask_, begin, end,
             [&out](int32_t code) { *out++ = code; });
-}
-
-void PackedColumn::AccumulateCounts(int64_t begin, int64_t end,
-                                    int64_t* counts) const {
-  if (begin >= end) return;
-  if (obs::MetricsEnabled()) {
-    WordsScannedCounter()->Add(WordsSpanned(begin, end, bits_));
-    KernelPathCounter(false)->Increment();
-  }
-  // Scatter increments do not vectorize; the win is the word walk itself
-  // (one load per word instead of one per value).
-  WalkWords(words_->data(), bits_, mask_, begin, end,
-            [counts](int32_t code) { ++counts[code]; });
-}
-
-PackedTable PackedTable::FromDataset(const Dataset& dataset,
-                                     const std::vector<int>& attrs) {
-  PackedTable table;
-  table.attrs_ = attrs;
-  table.columns_.reserve(attrs.size());
-  for (int attr : attrs) {
-    table.columns_.push_back(PackedColumn::Pack(
-        dataset.column(attr), dataset.schema().attribute(attr).cardinality()));
-  }
-  return table;
 }
 
 }  // namespace evocat

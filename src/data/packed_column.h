@@ -11,18 +11,17 @@
 /// rebuilds memory-bandwidth-friendly at scale.
 ///
 /// Like `Dataset` columns, packed columns are copy-on-write: copying a
-/// column (or a `PackedTable`) shares the word buffer, and the first `Set`
-/// detaches a private copy. Reads decode with a running bit cursor
-/// (`ForEachRange`) so sequential scans touch each word once.
+/// column shares the word buffer, and the first `Set` detaches a private
+/// copy. Reads decode with a running bit cursor (`ForEachRange`) so
+/// sequential scans touch each word once.
 ///
-/// Bulk reads go through the word-parallel kernels (`DecodeRange`,
-/// `AccumulateCounts`): each 64-bit word is loaded once and every code it
-/// holds is extracted by shift+mask before the next word is touched. On x86
-/// an SSE2/AVX2 fast path (compile-time detected, disable with
-/// `-DEVOCAT_SIMD=0`) widens the byte-aligned widths; the portable
-/// `uint64_t` core covers everything else and is bit-identical to the
-/// per-value decode by construction (integer extraction, no reordering of
-/// observable effects).
+/// Bulk reads go through the word-parallel kernel (`DecodeRange`): each
+/// 64-bit word is loaded once and every code it holds is extracted by
+/// shift+mask before the next word is touched. On x86 an SSE2/AVX2 fast path
+/// (compile-time detected, disable with `-DEVOCAT_SIMD=0`) widens the
+/// byte-aligned widths; the portable `uint64_t` core covers everything else
+/// and is bit-identical to the per-value decode by construction (integer
+/// extraction, no reordering of observable effects).
 
 #ifndef EVOCAT_DATA_PACKED_COLUMN_H_
 #define EVOCAT_DATA_PACKED_COLUMN_H_
@@ -30,8 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include "data/dataset.h"
 
 namespace evocat {
 
@@ -89,11 +86,6 @@ class PackedColumn {
   /// path when `EVOCAT_SIMD` is on. Exactly equivalent to `Get` per index.
   void DecodeRange(int64_t begin, int64_t end, int32_t* out) const;
 
-  /// \brief Adds this column's per-category counts over [begin, end) into
-  /// `counts` (sized to the cardinality) — the word-parallel counting kernel
-  /// behind the sharded contingency builds.
-  void AccumulateCounts(int64_t begin, int64_t end, int64_t* counts) const;
-
   /// \brief True when this build's bulk kernels use the vectorized
   /// (SSE2/AVX2) byte-aligned fast path; false on the portable core.
   static bool SimdEnabled();
@@ -116,33 +108,6 @@ class PackedColumn {
   int64_t num_values_ = 0;
   int bits_ = 0;
   uint64_t mask_ = 0;
-};
-
-/// \brief A set of packed columns mirroring chosen attributes of a dataset,
-/// maintainable cell by cell through `Set`.
-class PackedTable {
- public:
-  PackedTable() = default;
-
-  /// \brief Packs `attrs`' columns of `dataset` (width from each
-  /// attribute's dictionary cardinality).
-  static PackedTable FromDataset(const Dataset& dataset,
-                                 const std::vector<int>& attrs);
-
-  size_t num_columns() const { return columns_.size(); }
-  const std::vector<int>& attrs() const { return attrs_; }
-  const PackedColumn& column(size_t pos) const { return columns_[pos]; }
-
-  int32_t Code(int64_t row, size_t pos) const {
-    return columns_[pos].Get(row);
-  }
-  void Set(int64_t row, size_t pos, int32_t code) {
-    columns_[pos].Set(row, code);
-  }
-
- private:
-  std::vector<int> attrs_;
-  std::vector<PackedColumn> columns_;
 };
 
 }  // namespace evocat

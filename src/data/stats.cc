@@ -13,13 +13,6 @@ std::vector<int64_t> CategoryCounts(const Dataset& dataset, int attr) {
   return counts;
 }
 
-std::vector<int64_t> CategoryCounts(const PackedColumn& column,
-                                    int32_t cardinality) {
-  std::vector<int64_t> counts(static_cast<size_t>(cardinality), 0);
-  column.AccumulateCounts(0, column.size(), counts.data());
-  return counts;
-}
-
 std::vector<double> CategoryFrequencies(const Dataset& dataset, int attr) {
   auto counts = CategoryCounts(dataset, attr);
   std::vector<double> freqs(counts.size(), 0.0);

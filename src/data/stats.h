@@ -20,10 +20,6 @@ namespace evocat {
 /// \brief Per-category record counts for one attribute (indexed by code).
 std::vector<int64_t> CategoryCounts(const Dataset& dataset, int attr);
 
-/// \brief Per-category record counts of a bit-packed column.
-std::vector<int64_t> CategoryCounts(const PackedColumn& column,
-                                    int32_t cardinality);
-
 /// \brief Per-category relative frequencies (sums to 1 for non-empty data).
 std::vector<double> CategoryFrequencies(const Dataset& dataset, int attr);
 

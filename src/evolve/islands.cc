@@ -6,7 +6,7 @@
 /// the identical per-generation step (`core::GenerationStepper`) over its own
 /// subpopulation with its own RNG stream, forked deterministically from the
 /// run seed — islands never share mutable state, so evolving them on the
-/// work-stealing pool is bit-identical to evolving them one after another.
+/// work-stealing pool is bit-identical at any worker count.
 /// Every `migration_interval` generations the islands synchronize at a
 /// barrier and migrate along a ring: island i's best `migrants` members are
 /// copied to island (i+1) mod N, replacing its worst members (the source
@@ -41,11 +41,10 @@ constexpr uint64_t kIslandIdStride = uint64_t{1} << 40;
 class IslandsStrategy : public EvolutionStrategy {
  public:
   IslandsStrategy(int islands, int migration_interval, int migrants,
-                  bool parallel, bool global_stop)
+                  bool global_stop)
       : islands_(islands),
         migration_interval_(migration_interval),
         migrants_(migrants),
-        parallel_(parallel),
         global_stop_(global_stop) {}
 
   std::string name() const override { return "islands"; }
@@ -59,7 +58,6 @@ class IslandsStrategy : public EvolutionStrategy {
   int islands_;
   int migration_interval_;
   int migrants_;
-  bool parallel_;
   /// `no_improvement_window` semantics: false = per island (an island that
   /// stalls for the window stops alone), true = global (the run stops once
   /// the cross-island best has not improved for the window, evaluated at
@@ -94,8 +92,7 @@ Result<core::EvolutionResult> IslandsStrategy::Run(
   core::EvolutionResult result;
 
   EVOCAT_RETURN_NOT_OK(core::EvaluateInitialPopulation(
-      evaluator, config.incremental_eval, &initial,
-      &result.stats.initial_eval_seconds, cancel));
+      evaluator, &initial, &result.stats.initial_eval_seconds, cancel));
 
   uint64_t next_id = 0;
   for (auto& individual : initial) individual.id = next_id++;
@@ -147,7 +144,7 @@ Result<core::EvolutionResult> IslandsStrategy::Run(
                                config.generations - completed);
 
     // --- Epoch: every island advances `chunk` generations. -----------------
-    auto run_island = [&](int64_t idx) {
+    ParallelFor(0, static_cast<int64_t>(n_islands), [&](int64_t idx) {
       Island& island = islands[static_cast<size_t>(idx)];
       if (island.stopped) return;
       for (int g = 0; g < chunk; ++g) {
@@ -170,14 +167,7 @@ Result<core::EvolutionResult> IslandsStrategy::Run(
           return;
         }
       }
-    };
-    if (parallel_) {
-      ParallelFor(0, static_cast<int64_t>(n_islands), run_island);
-    } else {
-      for (size_t k = 0; k < n_islands; ++k) {
-        run_island(static_cast<int64_t>(k));
-      }
-    }
+    });
 
     // --- Barrier: cancellation observed by any island stops the run. -------
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
@@ -218,12 +208,9 @@ Result<core::EvolutionResult> IslandsStrategy::Run(
           migrant.fitness = population[j].fitness;
           migrant.origin = population[j].origin;
           migrant.id = population[j].id;
-          // Bind the migrant's delta state now (one evaluation-equivalent):
-          // a state-less member would otherwise push every future operator
-          // that touches it onto the ~250x full-evaluation path.
-          if (config.incremental_eval) {
-            migrant.eval_state = evaluator->BindState(migrant.data);
-          }
+          // The migrant needs a delta state of its own (one
+          // evaluation-equivalent): the source keeps its member's state.
+          migrant.eval_state = evaluator->BindState(migrant.data);
           outgoing[k].push_back(std::move(migrant));
         }
       }
@@ -268,7 +255,6 @@ void RegisterIslandsStrategy(StrategyRegistry* registry) {
         int64_t islands = reader.GetInt("islands", 4);
         int64_t interval = reader.GetInt("migration_interval", 25);
         int64_t migrants = reader.GetInt("migrants", 1);
-        std::string parallel = reader.GetString("parallel", "true");
         std::string stop_mode = reader.GetString("stop_mode", "per_island");
         EVOCAT_RETURN_NOT_OK(reader.Finish());
         if (islands < 1 || islands > 256) {
@@ -283,10 +269,6 @@ void RegisterIslandsStrategy(StrategyRegistry* registry) {
           return Status::Invalid("islands.migrants must be >= 0, got ",
                                  migrants);
         }
-        if (parallel != "true" && parallel != "false") {
-          return Status::Invalid(
-              "islands.parallel must be true or false, got '", parallel, "'");
-        }
         if (stop_mode != "per_island" && stop_mode != "global") {
           return Status::Invalid(
               "islands.stop_mode must be per_island or global, got '",
@@ -294,8 +276,7 @@ void RegisterIslandsStrategy(StrategyRegistry* registry) {
         }
         return std::unique_ptr<EvolutionStrategy>(new IslandsStrategy(
             static_cast<int>(islands), static_cast<int>(interval),
-            static_cast<int>(migrants), parallel == "true",
-            stop_mode == "global"));
+            static_cast<int>(migrants), stop_mode == "global"));
       });
   (void)status;
 }

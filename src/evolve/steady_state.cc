@@ -66,11 +66,9 @@ Result<core::EvolutionResult> SteadyStateStrategy::Run(
   Timer run_timer;
   core::EvolutionResult result;
   result.history.reserve(static_cast<size_t>(config.generations));
-  const bool incremental = config.incremental_eval;
 
   EVOCAT_RETURN_NOT_OK(core::EvaluateInitialPopulation(
-      evaluator, incremental, &initial, &result.stats.initial_eval_seconds,
-      cancel));
+      evaluator, &initial, &result.stats.initial_eval_seconds, cancel));
 
   uint64_t next_id = 0;
   for (auto& individual : initial) individual.id = next_id++;
@@ -165,8 +163,10 @@ Result<core::EvolutionResult> SteadyStateStrategy::Run(
         groups[static_cast<size_t>(group_of_slot[slot])].push_back(p);
       }
     }
+    // Groups always overlap: a heavy group's inner loops (rebuild-sized
+    // segments) fan out through nested work stealing instead of serializing.
     Timer eval_timer;
-    auto eval_group = [&](int64_t g) {
+    ParallelFor(0, static_cast<int64_t>(groups.size()), [&](int64_t g) {
       // Cancel is polled per group so a flipped flag stops a big step within
       // one slot's worth of evaluations.
       if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
@@ -174,26 +174,11 @@ Result<core::EvolutionResult> SteadyStateStrategy::Run(
       auto& state = population[slot].eval_state;
       for (size_t p : groups[static_cast<size_t>(g)]) {
         PlannedChild& child = plan[p];
-        if (incremental && state) {
-          state->ApplyDelta(child.individual.data, child.deltas, cancel);
-          child.individual.fitness = state->breakdown();
-          state->Revert();
-        } else {
-          child.individual.fitness = evaluator->Evaluate(child.individual.data);
-        }
+        state->ApplyDelta(child.individual.data, child.deltas, cancel);
+        child.individual.fitness = state->breakdown();
+        state->Revert();
       }
-    };
-    // Same knob as the generational loop. Groups always overlap when
-    // requested: a heavy group's inner loops (full evaluations, rebuild-sized
-    // segments) fan out through nested work stealing instead of serializing,
-    // so there is no pool-heavy special case anymore.
-    if (config.parallel_offspring_eval) {
-      ParallelFor(0, static_cast<int64_t>(groups.size()), eval_group);
-    } else {
-      for (int64_t g = 0; g < static_cast<int64_t>(groups.size()); ++g) {
-        eval_group(g);
-      }
-    }
+    });
     record.eval_seconds = eval_timer.ElapsedSeconds();
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       return Status::Cancelled("run canceled at step ", step, " of ",
@@ -210,15 +195,13 @@ Result<core::EvolutionResult> SteadyStateStrategy::Run(
     for (auto& child : plan) {
       size_t slot = child.slot;
       if (child.individual.score() >= population[slot].score()) continue;
-      if (incremental) {
-        if (!replaced[slot] && population[slot].eval_state) {
-          auto& state = population[slot].eval_state;
-          state->ApplyDelta(child.individual.data, child.deltas);
-          child.individual.eval_state = std::move(state);
-        } else {
-          child.individual.eval_state =
-              evaluator->BindState(child.individual.data);
-        }
+      if (!replaced[slot]) {
+        auto& state = population[slot].eval_state;
+        state->ApplyDelta(child.individual.data, child.deltas);
+        child.individual.eval_state = std::move(state);
+      } else {
+        child.individual.eval_state =
+            evaluator->BindState(child.individual.data);
       }
       population[slot] = std::move(child.individual);
       replaced[slot] = 1;

@@ -10,8 +10,12 @@
 /// `strategy` object selects one declaratively.
 ///
 /// Contract (every strategy):
+///   - offspring are scored through their parents' `metrics::FitnessState`
+///     (bound by `core::EvaluateInitialPopulation`), and the parallel parts
+///     always fan out through `ParallelFor`; the worker count is that of the
+///     scheduler the run executes on;
 ///   - deterministic given `config.seed`: the same seed produces bit-identical
-///     results on 1 or N threads, under any scheduling of the parallel parts;
+///     results on 1 or N workers, under any scheduling of the parallel parts;
 ///   - `cancel` is polled at least once per generation/step and through
 ///     island barriers; a canceled run returns `Status::Cancelled`;
 ///   - the returned population carries no incremental-evaluation states.

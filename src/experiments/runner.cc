@@ -83,7 +83,6 @@ Result<ExperimentResult> RunExperiment(const DatasetCase& dataset_case,
   spec.ga.leader_group_size = options.leader_group_size;
   spec.ga.selection = options.selection;
   spec.ga.mutation_excludes_current = options.mutation_excludes_current;
-  spec.ga.incremental_eval = options.incremental_eval;
 
   spec.remove_best_fraction = options.remove_best_fraction;
   spec.seeds.data = options.data_seed;

@@ -39,9 +39,6 @@ struct ExperimentOptions {
   int leader_group_size = 10;
   core::SelectionStrategy selection = core::SelectionStrategy::kInverseScore;
   bool mutation_excludes_current = true;
-  /// Incremental (operator-delta) fitness evaluation; false forces the
-  /// paper's original full re-evaluation per offspring.
-  bool incremental_eval = true;
   /// Measure configuration; `aggregation` above overrides its aggregation.
   metrics::FitnessEvaluator::Options fitness;
 };

@@ -1,5 +1,7 @@
 #include "api/jobspec.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "metrics/registry.h"
@@ -42,7 +44,7 @@ const char* kFullSpec = R"({
     "mutation_rate": 0.4,
     "leader_group_size": 8,
     "selection": "rank",
-    "incremental_eval": false
+    "mutation_excludes_current": false
   },
   "strategy": {
     "name": "islands",
@@ -79,7 +81,7 @@ TEST(JobSpecParseTest, FullSpecParses) {
   EXPECT_TRUE(spec.fitness.probe_rebuild_fractions);
   EXPECT_EQ(spec.ga.generations, 250);
   EXPECT_EQ(spec.ga.selection, core::SelectionStrategy::kRank);
-  EXPECT_FALSE(spec.ga.incremental_eval);
+  EXPECT_FALSE(spec.ga.mutation_excludes_current);
   EXPECT_EQ(spec.strategy.name, "islands");
   EXPECT_EQ(spec.strategy.params,
             (ParamMap{{"islands", "4"},
@@ -106,6 +108,29 @@ TEST(JobSpecParseTest, DefaultsRoundTrip) {
   JobSpec defaults;
   JobSpec reparsed = JobSpec::FromJsonText(defaults.ToJsonText()).ValueOrDie();
   EXPECT_EQ(reparsed.ToJsonText(), defaults.ToJsonText());
+}
+
+TEST(JobSpecParseTest, RetiredGaKeysAcceptOnlyTrue) {
+  // Specs dumped before the schedule keys were retired carry both as true;
+  // they must parse to the same spec as one without them, and the keys are
+  // no longer written back.
+  const std::string without = R"({"ga": {"generations": 7}})";
+  const std::string with_true = R"({"ga": {"generations": 7,
+      "parallel_offspring_eval": true, "incremental_eval": true}})";
+  std::string expected =
+      JobSpec::FromJsonText(without).ValueOrDie().ToJsonText();
+  EXPECT_EQ(JobSpec::FromJsonText(with_true).ValueOrDie().ToJsonText(),
+            expected);
+  EXPECT_EQ(expected.find("incremental_eval"), std::string::npos);
+  EXPECT_EQ(expected.find("parallel_offspring_eval"), std::string::npos);
+
+  for (std::string key : {"incremental_eval", "parallel_offspring_eval"}) {
+    auto result =
+        JobSpec::FromJsonText(R"({"ga": {")" + key + R"(": false}})");
+    ASSERT_FALSE(result.ok()) << key;
+    EXPECT_NE(result.status().message().find("ga." + key), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(JobSpecParseTest, UnknownTopLevelFieldIsNamed) {

@@ -1,6 +1,7 @@
 #include "api/session.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <thread>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "data/csv.h"
+#include "obs/metrics.h"
 
 namespace evocat {
 namespace api {
@@ -40,6 +42,15 @@ std::string TinyJobJson(uint64_t master_seed, const std::string& name) {
     "ga": {"generations": 12},
     "seeds": {"master": )" + std::to_string(master_seed) + R"(}
   })";
+}
+
+/// Engine generations run in this process so far, over both `op` series.
+int64_t EngineGenerations() {
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  return registry.CounterValue("evocat_engine_generations_total",
+                               {{"op", "mutation"}}) +
+         registry.CounterValue("evocat_engine_generations_total",
+                               {{"op", "crossover"}});
 }
 
 TEST(SessionTest, JsonSpecDrivesEndToEndRun) {
@@ -248,10 +259,18 @@ TEST(SessionTest, RunControlCancelsBeforeAndDuringExecution) {
   EXPECT_EQ(never_ran.status().code(), StatusCode::kCancelled);
 
   // Cancel mid-run from another thread: a huge generation budget ends early.
+  // The canceler waits until the engine has finished a generation, so the
+  // cancel lands inside the GA however long the pre-GA stages take.
   spec.ga.generations = 50000000;
   RunControl control;
-  std::thread canceler([&control] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const int64_t generations_before = EngineGenerations();
+  std::thread canceler([&control, generations_before] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (EngineGenerations() <= generations_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     control.cancel.store(true);
   });
   auto canceled = session.Run(spec, &control);

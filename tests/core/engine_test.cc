@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -157,7 +158,6 @@ TEST(EngineTest, DeterministicGivenSeed) {
   GaConfig config;
   config.generations = 60;
   config.seed = 99;
-  config.parallel_offspring_eval = false;
   EvolutionEngine engine(fixture.evaluator.get(), config);
   auto a = std::move(engine.Run(fixture.SeedPopulation(5))).ValueOrDie();
   auto b = std::move(engine.Run(fixture.SeedPopulation(5))).ValueOrDie();
@@ -307,51 +307,60 @@ TEST(EngineTest, MaxAggregationReducesImbalance) {
   EXPECT_LE(std::fabs(best.fitness.il - best.fitness.dr), 25.0);
 }
 
-TEST(EngineTest, IncrementalAndFullEvaluationAgree) {
-  // The delta path must retrace the full-evaluation run: same operator
-  // sequence, same acceptances, scores equal to numerical tolerance.
+TEST(EngineTest, EveryMemberMatchesEvaluateAfterEveryGeneration) {
+  // Offspring are scored through their parents' delta states; after every
+  // generation each member's fitness must still equal a from-scratch
+  // Evaluate of its file (the paper's full re-score).
   EngineFixture fixture;
   GaConfig config;
   config.generations = 60;
   config.seed = 31;
-  config.incremental_eval = true;
-  auto incremental = std::move(EvolutionEngine(fixture.evaluator.get(), config)
-                                   .Run(fixture.SeedPopulation(13)))
-                         .ValueOrDie();
-  config.incremental_eval = false;
-  auto full = std::move(EvolutionEngine(fixture.evaluator.get(), config)
-                            .Run(fixture.SeedPopulation(13)))
-                  .ValueOrDie();
-  ASSERT_EQ(incremental.history.size(), full.history.size());
-  for (size_t i = 0; i < incremental.history.size(); ++i) {
-    EXPECT_EQ(incremental.history[i].op, full.history[i].op);
-    EXPECT_NEAR(incremental.history[i].min_score, full.history[i].min_score,
-                1e-6);
-    EXPECT_NEAR(incremental.history[i].mean_score, full.history[i].mean_score,
-                1e-6);
-  }
-  EXPECT_NEAR(incremental.population.best().score(),
-              full.population.best().score(), 1e-6);
+  int generations = 0;
+  auto check = [&](const GenerationRecord& record,
+                   const Population& population) {
+    ++generations;
+    evocat::testing::ExpectMatchesEvaluate(
+        *fixture.evaluator, population,
+        "generation " + std::to_string(record.generation));
+  };
+  auto result = std::move(EvolutionEngine(fixture.evaluator.get(), config)
+                              .Run(fixture.SeedPopulation(13), check))
+                    .ValueOrDie();
+  EXPECT_EQ(generations, 60);
+  EXPECT_GT(result.stats.accepted_mutations + result.stats.accepted_crossovers,
+            0);
 }
 
-TEST(EngineTest, ParallelAndSerialOffspringEvalAgree) {
+TEST(EngineTest, DeterministicAcross1And4Workers) {
+  // The crossover legs and every measure's inner loops fan out over the
+  // scheduler the run executes on; 1 and 4 workers must agree bit for bit.
   EngineFixture fixture;
   GaConfig config;
   config.generations = 40;
   config.seed = 29;
-  config.parallel_offspring_eval = true;
-  auto parallel = std::move(EvolutionEngine(fixture.evaluator.get(), config)
-                                .Run(fixture.SeedPopulation(12)))
-                      .ValueOrDie();
-  config.parallel_offspring_eval = false;
-  auto serial = std::move(EvolutionEngine(fixture.evaluator.get(), config)
-                              .Run(fixture.SeedPopulation(12)))
-                    .ValueOrDie();
-  ASSERT_EQ(parallel.history.size(), serial.history.size());
-  for (size_t i = 0; i < parallel.history.size(); ++i) {
-    EXPECT_DOUBLE_EQ(parallel.history[i].mean_score,
-                     serial.history[i].mean_score);
+  auto run_on = [&](int workers) {
+    Result<EvolutionResult> result(Status::Internal("not executed"));
+    evocat::testing::RunOnScheduler(workers, [&] {
+      result = EvolutionEngine(fixture.evaluator.get(), config)
+                   .Run(fixture.SeedPopulation(12));
+    });
+    return std::move(result).ValueOrDie();
+  };
+  EvolutionResult serial = run_on(1);
+  EvolutionResult parallel = run_on(4);
+  ASSERT_EQ(serial.history.size(), parallel.history.size());
+  for (size_t i = 0; i < serial.history.size(); ++i) {
+    EXPECT_EQ(serial.history[i].op, parallel.history[i].op);
+    EXPECT_EQ(serial.history[i].accepted, parallel.history[i].accepted);
+    EXPECT_DOUBLE_EQ(serial.history[i].min_score,
+                     parallel.history[i].min_score);
+    EXPECT_DOUBLE_EQ(serial.history[i].mean_score,
+                     parallel.history[i].mean_score);
+    EXPECT_DOUBLE_EQ(serial.history[i].max_score,
+                     parallel.history[i].max_score);
   }
+  EXPECT_TRUE(
+      serial.population.best().data.SameCodes(parallel.population.best().data));
 }
 
 }  // namespace

@@ -1,22 +1,18 @@
 // Property tests for the bit-packed columnar storage: exact round-trips at
 // every bit width the dictionary cardinalities can produce, cross-word
-// straddle handling at awkward row counts, single-cell writes, the counting
-// kernel, and copy-on-write semantics mirroring dataset_cow_test.cc.
+// straddle handling at awkward row counts, single-cell writes, the bulk
+// decode kernel, and copy-on-write semantics mirroring dataset_cow_test.cc.
 
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "../test_util.h"
 #include "common/rng.h"
 #include "data/packed_column.h"
 
 namespace evocat {
 namespace {
-
-using evocat::testing::BuildDataset;
-using evocat::testing::TestAttr;
 
 std::vector<int32_t> RandomCodes(int64_t rows, int32_t cardinality,
                                  uint64_t seed) {
@@ -88,18 +84,6 @@ TEST(PackedColumnTest, SetOverwritesAcrossWordBoundaries) {
   EXPECT_EQ(packed.Unpack(), codes);
 }
 
-TEST(PackedColumnTest, AccumulateCountsMatchesSerialCount) {
-  auto codes = RandomCodes(517, 9, 21);
-  PackedColumn packed = PackedColumn::Pack(codes, 9);
-  std::vector<int64_t> expected(9, 0);
-  for (size_t i = 100; i < 400; ++i) {
-    expected[static_cast<size_t>(codes[i])] += 1;
-  }
-  std::vector<int64_t> counts(9, 0);
-  packed.AccumulateCounts(100, 400, counts.data());
-  EXPECT_EQ(counts, expected);
-}
-
 TEST(PackedColumnTest, DecodeRangeMatchesScalarDecodeEveryWidth) {
   // The word-walk bulk decoder (and its SIMD byte-aligned fast paths at
   // widths 4/8/16) against the per-value scalar decode, over widths 1..16
@@ -147,28 +131,6 @@ TEST(PackedColumnTest, DecodeRangeHandlesMidWordAndEmptyRanges) {
   }
 }
 
-TEST(PackedColumnTest, AccumulateCountsMatchesScalarEveryWidth) {
-  // The counting kernel against a scalar Get loop at every width,
-  // including mid-word shard boundaries (the sharded builds' call shape).
-  for (int k = 1; k <= 16; ++k) {
-    int32_t card = (1 << k) - 1;
-    if (card < 2) card = 2;
-    auto codes = RandomCodes(413, card, 9900 + static_cast<uint64_t>(k));
-    PackedColumn packed = PackedColumn::Pack(codes, card);
-    for (auto [begin, end] : {std::pair<int64_t, int64_t>{0, 413},
-                              {37, 389}, {100, 100}, {412, 413}}) {
-      std::vector<int64_t> expected(static_cast<size_t>(card), 0);
-      for (int64_t i = begin; i < end; ++i) {
-        expected[static_cast<size_t>(packed.Get(i))] += 1;
-      }
-      std::vector<int64_t> counts(static_cast<size_t>(card), 0);
-      packed.AccumulateCounts(begin, end, counts.data());
-      ASSERT_EQ(counts, expected) << "width " << k << " range [" << begin
-                                  << ", " << end << ")";
-    }
-  }
-}
-
 TEST(PackedColumnTest, CopySharesStorageUntilFirstWrite) {
   // Mirrors dataset_cow_test.cc: a copy aliases the word buffer; the first
   // Set detaches a private copy and the sibling keeps its codes.
@@ -185,26 +147,6 @@ TEST(PackedColumnTest, CopySharesStorageUntilFirstWrite) {
   // Writing the already-detached column again must not re-share.
   b.Set(51, 0);
   EXPECT_EQ(a.Get(51), codes[51]);
-}
-
-TEST(PackedTableTest, MirrorsDatasetColumns) {
-  Dataset dataset = BuildDataset(
-      {{"a", AttrKind::kNominal, 5},
-       {"b", AttrKind::kOrdinal, 17},
-       {"c", AttrKind::kNominal, 3}},
-      {{0, 16, 2}, {4, 0, 1}, {2, 9, 0}, {1, 15, 2}, {3, 3, 1}});
-  PackedTable table = PackedTable::FromDataset(dataset, {0, 2});
-  ASSERT_EQ(table.num_columns(), 2u);
-  EXPECT_EQ(table.attrs(), (std::vector<int>{0, 2}));
-  EXPECT_EQ(table.column(0).bit_width(), 3);
-  EXPECT_EQ(table.column(1).bit_width(), 2);
-  for (int64_t r = 0; r < dataset.num_rows(); ++r) {
-    EXPECT_EQ(table.Code(r, 0), dataset.Code(r, 0));
-    EXPECT_EQ(table.Code(r, 1), dataset.Code(r, 2));
-  }
-  table.Set(2, 1, 2);
-  EXPECT_EQ(table.Code(2, 1), 2);
-  EXPECT_EQ(dataset.Code(2, 2), 0);  // the mirror never writes back
 }
 
 }  // namespace

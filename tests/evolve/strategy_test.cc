@@ -1,13 +1,15 @@
-// Strategy subsystem tests: registry behaviour, and the determinism
-// contract every strategy signs up to — same seed ⇒ bit-identical best
-// individual whether the run executes on 1 worker or 4, and the
-// generational strategy bit-identical to the raw engine.
+// Strategy subsystem tests: registry behaviour, and the contract every
+// strategy signs up to — same seed ⇒ bit-identical best individual whether
+// the run executes on 1 worker or 4, the generational strategy bit-identical
+// to the raw engine, and a final population whose delta-path scores match a
+// from-scratch Evaluate.
 
 #include "evolve/registry.h"
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -67,7 +69,8 @@ struct StrategyFixture {
 /// Runs `strategy` on a private scheduler with `threads` workers, so the
 /// strategy's internal ParallelFor loops split across exactly that many
 /// workers (1 = fully serial execution) and its measure states shard their
-/// builds `threads` ways.
+/// builds `threads` ways. A finished run's final population is re-scored
+/// with Evaluate (1e-9).
 Result<core::EvolutionResult> RunOnScheduler(
     int threads, const EvolutionStrategy& strategy,
     const StrategyFixture& fixture, const core::GaConfig& config,
@@ -77,6 +80,12 @@ Result<core::EvolutionResult> RunOnScheduler(
     result = strategy.Run(fixture.evaluator.get(), config, std::move(initial),
                           nullptr);
   });
+  if (result.ok()) {
+    evocat::testing::ExpectMatchesEvaluate(
+        *fixture.evaluator, result.ValueOrDie().population,
+        strategy.name() + " final population on " + std::to_string(threads) +
+            " workers");
+  }
   return result;
 }
 
@@ -124,7 +133,11 @@ TEST(StrategyRegistryTest, ValidatesParameters) {
   EXPECT_FALSE(registry.Create("islands", {{"islands", "0"}}).ok());
   EXPECT_FALSE(registry.Create("islands", {{"migration_interval", "0"}}).ok());
   EXPECT_FALSE(registry.Create("islands", {{"migrants", "-1"}}).ok());
-  EXPECT_FALSE(registry.Create("islands", {{"parallel", "maybe"}}).ok());
+  // The retired schedule knob is an unknown parameter.
+  auto parallel = registry.Create("islands", {{"parallel", "true"}});
+  ASSERT_FALSE(parallel.ok());
+  EXPECT_NE(parallel.status().message().find("unknown parameter"),
+            std::string::npos);
   EXPECT_FALSE(registry.Create("islands", {{"stop_mode", "sometimes"}}).ok());
   EXPECT_TRUE(registry.Create("islands", {{"stop_mode", "global"}}).ok());
   EXPECT_TRUE(registry.Create("islands", {{"stop_mode", "per_island"}}).ok());
@@ -135,8 +148,7 @@ TEST(StrategyRegistryTest, ValidatesParameters) {
   EXPECT_TRUE(registry
                   .Create("islands", {{"islands", "2"},
                                       {"migration_interval", "5"},
-                                      {"migrants", "2"},
-                                      {"parallel", "false"}})
+                                      {"migrants", "2"}})
                   .ok());
 }
 
@@ -229,9 +241,10 @@ TEST(SteadyStateStrategyTest, StepInvariants) {
                 result.stats.crossover_generations * 8);
 }
 
-TEST(SteadyStateStrategyTest, AgreesWithFullEvaluation) {
-  // The concurrent delta path must match a full-recompute run: same plan,
-  // same acceptances, scores within numerical tolerance.
+TEST(SteadyStateStrategyTest, FinalPopulationMatchesEvaluate) {
+  // Offspring of one slot are scored serially through that parent's state
+  // (ApplyDelta -> breakdown -> Revert) and accepted ones re-apply their
+  // delta; every final score must still equal a from-scratch Evaluate.
   StrategyFixture fixture;
   core::GaConfig config;
   config.generations = 25;
@@ -240,70 +253,47 @@ TEST(SteadyStateStrategyTest, AgreesWithFullEvaluation) {
   auto strategy = StrategyRegistry::Global()
                       .Create("steady_state", {{"lambda", "3"}})
                       .ValueOrDie();
-  config.incremental_eval = true;
-  auto incremental =
-      std::move(strategy->Run(fixture.evaluator.get(), config,
-                              fixture.SeedPopulation(9), nullptr))
-          .ValueOrDie();
-  config.incremental_eval = false;
-  auto full = std::move(strategy->Run(fixture.evaluator.get(), config,
-                                      fixture.SeedPopulation(9), nullptr))
-                  .ValueOrDie();
-  ASSERT_EQ(incremental.history.size(), full.history.size());
-  for (size_t i = 0; i < incremental.history.size(); ++i) {
-    EXPECT_EQ(incremental.history[i].op, full.history[i].op);
-    EXPECT_NEAR(incremental.history[i].min_score, full.history[i].min_score,
-                1e-6);
-    EXPECT_NEAR(incremental.history[i].mean_score, full.history[i].mean_score,
-                1e-6);
-  }
+  auto result = std::move(strategy->Run(fixture.evaluator.get(), config,
+                                        fixture.SeedPopulation(9), nullptr))
+                    .ValueOrDie();
+  ASSERT_EQ(result.history.size(), 25u);
+  evocat::testing::ExpectMatchesEvaluate(*fixture.evaluator, result.population,
+                                         "steady_state final population");
 }
 
 TEST(IslandsStrategyTest, DeterministicAcross1And4Workers) {
+  // Islands evolve concurrently on the pool; on 1 worker they run one after
+  // another. Both schedules must agree bit for bit, with and without
+  // multi-member migration.
   StrategyFixture fixture;
-  core::GaConfig config;
-  config.generations = 20;
-  config.seed = 23;
-
-  auto strategy = StrategyRegistry::Global()
-                      .Create("islands", {{"islands", "4"},
-                                          {"migration_interval", "5"}})
-                      .ValueOrDie();
-  auto serial = std::move(RunOnScheduler(1, *strategy, fixture, config,
-                                         fixture.SeedPopulation(13)))
-                    .ValueOrDie();
-  auto parallel = std::move(RunOnScheduler(4, *strategy, fixture, config,
-                                           fixture.SeedPopulation(13)))
-                      .ValueOrDie();
-  ExpectIdenticalResults(serial, parallel);
-}
-
-TEST(IslandsStrategyTest, ParallelFlagDoesNotChangeResults) {
-  // parallel=false forces island-after-island execution on the calling
-  // thread; results must match the concurrent schedule bit for bit.
-  StrategyFixture fixture;
-  core::GaConfig config;
-  config.generations = 20;
-  config.seed = 29;
-
-  auto concurrent = StrategyRegistry::Global()
-                        .Create("islands", {{"islands", "3"},
-                                            {"migration_interval", "4"},
-                                            {"migrants", "2"}})
-                        .ValueOrDie();
-  auto sequential = StrategyRegistry::Global()
-                        .Create("islands", {{"islands", "3"},
-                                            {"migration_interval", "4"},
-                                            {"migrants", "2"},
-                                            {"parallel", "false"}})
-                        .ValueOrDie();
-  auto a = std::move(concurrent->Run(fixture.evaluator.get(), config,
-                                     fixture.SeedPopulation(15), nullptr))
-               .ValueOrDie();
-  auto b = std::move(sequential->Run(fixture.evaluator.get(), config,
-                                     fixture.SeedPopulation(15), nullptr))
-               .ValueOrDie();
-  ExpectIdenticalResults(a, b);
+  struct Case {
+    ParamMap params;
+    uint64_t ga_seed;
+    uint64_t population_seed;
+  };
+  const Case cases[] = {
+      {{{"islands", "4"}, {"migration_interval", "5"}}, 23, 13},
+      {{{"islands", "3"}, {"migration_interval", "4"}, {"migrants", "2"}},
+       29,
+       15},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("ga seed " + std::to_string(c.ga_seed));
+    core::GaConfig config;
+    config.generations = 20;
+    config.seed = c.ga_seed;
+    auto strategy =
+        StrategyRegistry::Global().Create("islands", c.params).ValueOrDie();
+    auto serial =
+        std::move(RunOnScheduler(1, *strategy, fixture, config,
+                                 fixture.SeedPopulation(c.population_seed)))
+            .ValueOrDie();
+    auto parallel =
+        std::move(RunOnScheduler(4, *strategy, fixture, config,
+                                 fixture.SeedPopulation(c.population_seed)))
+            .ValueOrDie();
+    ExpectIdenticalResults(serial, parallel);
+  }
 }
 
 TEST(IslandsStrategyTest, HistoryCarriesEveryIslandsTrajectory) {

@@ -10,8 +10,11 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/rng.h"
 #include "common/task_scheduler.h"
+#include "core/individual.h"
 #include "data/dataset.h"
 #include "data/schema.h"
 #include "datagen/generator.h"
@@ -76,6 +79,26 @@ inline void RunOnScheduler(int workers, const std::function<void()>& fn) {
   TaskScheduler::Group group;
   scheduler.Submit(&group, fn);
   scheduler.Wait(&group);
+}
+
+/// \brief Oracle check for a population scored through the delta states:
+/// every member's fitness must match a fresh `FitnessEvaluator::Evaluate` of
+/// its file — score, IL, DR and each measure — within 1e-9. `context` names
+/// the check point in failure messages.
+inline void ExpectMatchesEvaluate(const metrics::FitnessEvaluator& evaluator,
+                                  const core::Population& population,
+                                  const std::string& context) {
+  for (size_t i = 0; i < population.size(); ++i) {
+    const metrics::FitnessBreakdown& scored = population[i].fitness;
+    metrics::FitnessBreakdown full = evaluator.Evaluate(population[i].data);
+    EXPECT_NEAR(scored.score, full.score, 1e-9) << context << ", member " << i;
+    EXPECT_NEAR(scored.il, full.il, 1e-9) << context << ", member " << i;
+    EXPECT_NEAR(scored.dr, full.dr, 1e-9) << context << ", member " << i;
+    for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
+      EXPECT_NEAR(scored.*measure.field, full.*measure.field, 1e-9)
+          << measure.name << ", " << context << ", member " << i;
+    }
+  }
 }
 
 /// \brief An (original, masked, protected-attrs) fixture at any record
