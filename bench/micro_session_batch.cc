@@ -73,17 +73,12 @@ bool RunScaleScenario(double* serial_seconds, double* pool_seconds) {
   big.outputs.history = false;
 
   Result<api::RunArtifacts> serial_run(Status::Internal("not executed"));
-  {
-    TaskScheduler scheduler(1);
-    TaskScheduler::Group group;
-    Timer serial_timer;
-    scheduler.Submit(&group, [&] {
-      api::Session session;
-      serial_run = session.Run(big);
-    });
-    scheduler.Wait(&group);
-    *serial_seconds = serial_timer.ElapsedSeconds();
-  }
+  Timer serial_timer;
+  RunOnScheduler(1, [&] {
+    api::Session session;
+    serial_run = session.Run(big);
+  });
+  *serial_seconds = serial_timer.ElapsedSeconds();
   if (!serial_run.ok()) {
     std::fprintf(stderr, "scale 1-worker: %s\n",
                  serial_run.status().ToString().c_str());

@@ -37,12 +37,9 @@ int main() {
       bench::BenchOptions(metrics::ScoreAggregation::kMax, /*generations=*/300);
   Result<experiments::ExperimentResult> result(
       Status::Internal("experiment not executed"));
-  TaskScheduler serial(1);
-  TaskScheduler::Group group;
-  serial.Submit(&group, [&] {
+  RunOnScheduler(1, [&] {
     result = experiments::RunExperiment(dataset_case, options);
   });
-  serial.Wait(&group);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;

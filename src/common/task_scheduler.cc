@@ -289,4 +289,11 @@ void TaskScheduler::ParallelForShared(
   }
 }
 
+void RunOnScheduler(int workers, const std::function<void()>& fn) {
+  TaskScheduler scheduler(workers);
+  TaskScheduler::Group group;
+  scheduler.Submit(&group, fn);
+  scheduler.Wait(&group);
+}
+
 }  // namespace evocat

@@ -134,6 +134,13 @@ class TaskScheduler {
   bool stop_ = false;
 };
 
+/// \brief Runs `fn` as one task on a private scheduler with `workers`
+/// threads and waits for it. Every parallel loop inside `fn` then splits over
+/// those `workers` threads and the measures shard their builds `workers`
+/// ways; results are bit-identical at any count, so `workers == 1` pins a
+/// serial schedule without a separate code path.
+void RunOnScheduler(int workers, const std::function<void()>& fn);
+
 }  // namespace evocat
 
 #endif  // EVOCAT_COMMON_TASK_SCHEDULER_H_

@@ -138,8 +138,7 @@ GenerationStepper::GenerationStepper(const metrics::FitnessEvaluator* evaluator,
                                      Population* population, Rng* rng,
                                      EvolutionStats* stats, uint64_t* next_id,
                                      const std::atomic<bool>* cancel)
-    : evaluator_(evaluator),
-      config_(config),
+    : config_(config),
       population_(population),
       rng_(rng),
       stats_(stats),
@@ -214,47 +213,42 @@ GenerationRecord GenerationStepper::Step(int generation) {
     child1.id = (*next_id_)++;
     child2.id = (*next_id_)++;
 
-    // Self-mating (i1 == i2) would apply both legs to one state, so those
-    // offspring are scored in full and an accepted one binds its own state.
-    const bool self_mating = i1 == i2;
-    // The legs always overlap: a heavy leg (a full evaluation or a
-    // rebuild-sized segment) does not hog or starve the pool, because nested
-    // regions — the per-measure fan-out inside FitnessState::ApplyDelta and
-    // every measure's own row loops — submit to the shared scheduler instead
-    // of serializing.
-    Timer eval_timer;
-    ParallelFor(0, 2, [&](int64_t leg) {
-      Individual& child = leg == 0 ? child1 : child2;
-      if (self_mating) {
-        child.fitness = evaluator_->Evaluate(child.data);
-        return;
-      }
-      auto& state = population[leg == 0 ? i1 : i2].eval_state;
-      const auto& deltas = leg == 0 ? segment.deltas1 : segment.deltas2;
-      state->ApplyDelta(child.data, deltas, cancel_);
-      child.fitness = state->breakdown();
-    });
-    eval_seconds = eval_timer.ElapsedSeconds();
+    // Self-mating (i1 == i2) swaps a segment between two copies of one
+    // genome, so both offspring equal their parent: neither can beat it, and
+    // neither is scored (the record still counts both).
     record.evaluations = 2;
+    if (i1 != i2) {
+      // The legs always overlap: a heavy leg (a rebuild-sized segment) does
+      // not hog or starve the pool, because nested regions — the per-measure
+      // fan-out inside FitnessState::ApplyDelta and every measure's own row
+      // loops — submit to the shared scheduler instead of serializing.
+      Timer eval_timer;
+      ParallelFor(0, 2, [&](int64_t leg) {
+        Individual& child = leg == 0 ? child1 : child2;
+        auto& state = population[leg == 0 ? i1 : i2].eval_state;
+        const auto& deltas = leg == 0 ? segment.deltas1 : segment.deltas2;
+        state->ApplyDelta(child.data, deltas, cancel_);
+        child.fitness = state->breakdown();
+      });
+      eval_seconds = eval_timer.ElapsedSeconds();
 
-    // Deterministic crowding: each offspring competes with its own parent.
-    if (child1.score() < population[i1].score()) {
-      child1.eval_state = self_mating ? evaluator_->BindState(child1.data)
-                                      : std::move(population[i1].eval_state);
-      population[i1] = std::move(child1);
-      record.accepted = true;
-      ++stats_->accepted_crossovers;
-    } else if (!self_mating) {
-      population[i1].eval_state->Revert();
-    }
-    if (child2.score() < population[i2].score()) {
-      child2.eval_state = self_mating ? evaluator_->BindState(child2.data)
-                                      : std::move(population[i2].eval_state);
-      population[i2] = std::move(child2);
-      record.accepted = true;
-      ++stats_->accepted_crossovers;
-    } else if (!self_mating) {
-      population[i2].eval_state->Revert();
+      // Deterministic crowding: each offspring competes with its own parent.
+      if (child1.score() < population[i1].score()) {
+        child1.eval_state = std::move(population[i1].eval_state);
+        population[i1] = std::move(child1);
+        record.accepted = true;
+        ++stats_->accepted_crossovers;
+      } else {
+        population[i1].eval_state->Revert();
+      }
+      if (child2.score() < population[i2].score()) {
+        child2.eval_state = std::move(population[i2].eval_state);
+        population[i2] = std::move(child2);
+        record.accepted = true;
+        ++stats_->accepted_crossovers;
+      } else {
+        population[i2].eval_state->Revert();
+      }
     }
     ++stats_->crossover_generations;
   }

@@ -63,13 +63,13 @@ Status ValidateRunInputs(const metrics::FitnessEvaluator* evaluator,
 /// calls (which `Step` maintains) and that every member carries its bound
 /// `eval_state` (`EvaluateInitialPopulation` binds them; `Step` hands each
 /// accepted offspring a state). Offspring are scored by `ApplyDelta` on
-/// their parent's state and reverted on rejection. The one exception is
-/// self-mating (both crossover parents the same member), where the two legs
-/// would share one state: those offspring are scored by
-/// `FitnessEvaluator::Evaluate` and an accepted one binds a fresh state.
+/// their parent's state and reverted on rejection; self-mating (both
+/// crossover parents the same member) yields two copies of the parent, which
+/// are rejected unscored.
 class GenerationStepper {
  public:
-  /// \param evaluator bound fitness evaluator; must outlive the stepper.
+  /// \param evaluator bound fitness evaluator; its attrs and record count
+  ///        fix the genome layout the operators draw from.
   /// \param population evaluated, sorted population advanced in place.
   /// \param rng the run's (or island's) private RNG stream.
   /// \param stats aggregate counters accumulated across steps.
@@ -93,7 +93,6 @@ class GenerationStepper {
   const GenomeLayout& layout() const { return layout_; }
 
  private:
-  const metrics::FitnessEvaluator* evaluator_;
   GaConfig config_;
   Population* population_;
   Rng* rng_;

@@ -42,6 +42,23 @@ TEST(TaskSchedulerTest, WorkerThreadIsDetected) {
   EXPECT_TRUE(on_worker.load());
 }
 
+TEST(TaskSchedulerTest, RunOnSchedulerRunsOnAPrivateSchedulerOfThatSize) {
+  for (int workers : {1, 3}) {
+    bool private_scheduler = false;
+    int current_workers = 0;
+    std::atomic<int> visits{0};
+    RunOnScheduler(workers, [&] {
+      TaskScheduler* current = TaskScheduler::Current();
+      private_scheduler = current != &TaskScheduler::Shared();
+      current_workers = current->num_workers();
+      ParallelFor(0, 64, [&visits](int64_t) { visits.fetch_add(1); });
+    });
+    EXPECT_TRUE(private_scheduler);
+    EXPECT_EQ(current_workers, workers);
+    EXPECT_EQ(visits.load(), 64);
+  }
+}
+
 TEST(TaskSchedulerTest, ParallelForOnWorkerVisitsEveryIndexOnce) {
   TaskScheduler scheduler(4);
   constexpr int64_t kN = 1000;

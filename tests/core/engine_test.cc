@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "common/task_scheduler.h"
 #include "datagen/generator.h"
 #include "protection/population_builder.h"
 
@@ -310,25 +311,57 @@ TEST(EngineTest, MaxAggregationReducesImbalance) {
 TEST(EngineTest, EveryMemberMatchesEvaluateAfterEveryGeneration) {
   // Offspring are scored through their parents' delta states; after every
   // generation each member's fitness must still equal a from-scratch
-  // Evaluate of its file (the paper's full re-score).
+  // Evaluate of its file (the paper's full re-score). A self-mating step
+  // (the crossover mate is the first parent) swaps a segment between two
+  // copies of one file, so it serves no evaluation and accepts nothing. The
+  // second case (one leader, two members, crossover only) mates the leader
+  // with itself often.
   EngineFixture fixture;
-  GaConfig config;
-  config.generations = 60;
-  config.seed = 31;
-  int generations = 0;
-  auto check = [&](const GenerationRecord& record,
-                   const Population& population) {
-    ++generations;
-    evocat::testing::ExpectMatchesEvaluate(
-        *fixture.evaluator, population,
-        "generation " + std::to_string(record.generation));
+  struct Case {
+    int generations;
+    uint64_t seed;
+    double mutation_rate;
+    int leader_group_size;
+    size_t members;
   };
-  auto result = std::move(EvolutionEngine(fixture.evaluator.get(), config)
-                              .Run(fixture.SeedPopulation(13), check))
-                    .ValueOrDie();
-  EXPECT_EQ(generations, 60);
-  EXPECT_GT(result.stats.accepted_mutations + result.stats.accepted_crossovers,
-            0);
+  const Case cases[] = {{60, 31, 0.5, 10, 12}, {40, 5, 0.0, 1, 2}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("ga seed " + std::to_string(c.seed));
+    GaConfig config;
+    config.generations = c.generations;
+    config.seed = c.seed;
+    config.mutation_rate = c.mutation_rate;
+    config.leader_group_size = c.leader_group_size;
+    int generations = 0;
+    int self_matings = 0;
+    int64_t served = 0;
+    auto check = [&](const GenerationRecord& record,
+                     const Population& population) {
+      ++generations;
+      if (fixture.evaluator->num_evaluations() == served) {
+        ++self_matings;
+        EXPECT_EQ(record.op, OperatorKind::kCrossover);
+        EXPECT_FALSE(record.accepted) << "generation " << record.generation;
+      }
+      evocat::testing::ExpectMatchesEvaluate(
+          *fixture.evaluator, population,
+          "generation " + std::to_string(record.generation));
+      served = fixture.evaluator->num_evaluations();
+    };
+    // Bound up front, so the first step's evaluations are counted alone.
+    auto seeds = fixture.SeedPopulation(13, c.members);
+    for (auto& seed : seeds) {
+      seed.eval_state = fixture.evaluator->BindState(seed.data);
+    }
+    served = fixture.evaluator->num_evaluations();
+    auto result = std::move(EvolutionEngine(fixture.evaluator.get(), config)
+                                .Run(std::move(seeds), check))
+                      .ValueOrDie();
+    EXPECT_EQ(generations, c.generations);
+    EXPECT_GT(self_matings, 0);
+    EXPECT_GT(
+        result.stats.accepted_mutations + result.stats.accepted_crossovers, 0);
+  }
 }
 
 TEST(EngineTest, DeterministicAcross1And4Workers) {
@@ -340,7 +373,7 @@ TEST(EngineTest, DeterministicAcross1And4Workers) {
   config.seed = 29;
   auto run_on = [&](int workers) {
     Result<EvolutionResult> result(Status::Internal("not executed"));
-    evocat::testing::RunOnScheduler(workers, [&] {
+    RunOnScheduler(workers, [&] {
       result = EvolutionEngine(fixture.evaluator.get(), config)
                    .Run(fixture.SeedPopulation(12));
     });

@@ -15,6 +15,7 @@
 
 #include "../test_util.h"
 #include "api/session.h"
+#include "common/task_scheduler.h"
 #include "core/engine.h"
 #include "datagen/generator.h"
 #include "evolve/strategy.h"
@@ -71,12 +72,12 @@ struct StrategyFixture {
 /// workers (1 = fully serial execution) and its measure states shard their
 /// builds `threads` ways. A finished run's final population is re-scored
 /// with Evaluate (1e-9).
-Result<core::EvolutionResult> RunOnScheduler(
+Result<core::EvolutionResult> RunStrategy(
     int threads, const EvolutionStrategy& strategy,
     const StrategyFixture& fixture, const core::GaConfig& config,
     std::vector<core::Individual> initial) {
   Result<core::EvolutionResult> result(Status::Internal("not executed"));
-  evocat::testing::RunOnScheduler(threads, [&] {
+  RunOnScheduler(threads, [&] {
     result = strategy.Run(fixture.evaluator.get(), config, std::move(initial),
                           nullptr);
   });
@@ -172,21 +173,36 @@ TEST(GenerationalStrategyTest, BitIdenticalToEngine) {
 }
 
 TEST(SteadyStateStrategyTest, DeterministicAcross1And4Workers) {
+  // Offspring of one slot are scored serially through that parent's state
+  // (ApplyDelta -> breakdown -> Revert) and accepted ones re-apply their
+  // delta; both schedules must agree bit for bit, and RunStrategy holds
+  // every final score to a from-scratch Evaluate.
   StrategyFixture fixture;
-  core::GaConfig config;
-  config.generations = 30;
-  config.seed = 42;
-
-  auto strategy = StrategyRegistry::Global()
-                      .Create("steady_state", {{"lambda", "6"}})
-                      .ValueOrDie();
-  auto serial = std::move(RunOnScheduler(1, *strategy, fixture, config,
-                                         fixture.SeedPopulation(7)))
-                    .ValueOrDie();
-  auto parallel = std::move(RunOnScheduler(4, *strategy, fixture, config,
-                                           fixture.SeedPopulation(7)))
-                      .ValueOrDie();
-  ExpectIdenticalResults(serial, parallel);
+  struct Case {
+    const char* lambda;
+    int generations;
+    uint64_t ga_seed;
+    uint64_t population_seed;
+  };
+  const Case cases[] = {{"6", 30, 42, 7}, {"3", 25, 17, 9}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("lambda ") + c.lambda);
+    core::GaConfig config;
+    config.generations = c.generations;
+    config.seed = c.ga_seed;
+    auto strategy = StrategyRegistry::Global()
+                        .Create("steady_state", {{"lambda", c.lambda}})
+                        .ValueOrDie();
+    auto serial =
+        std::move(RunStrategy(1, *strategy, fixture, config,
+                              fixture.SeedPopulation(c.population_seed)))
+            .ValueOrDie();
+    auto parallel =
+        std::move(RunStrategy(4, *strategy, fixture, config,
+                              fixture.SeedPopulation(c.population_seed)))
+            .ValueOrDie();
+    ExpectIdenticalResults(serial, parallel);
+  }
 }
 
 TEST(SteadyStateStrategyTest, DataPlaneShardCountsAreBitIdentical) {
@@ -203,12 +219,12 @@ TEST(SteadyStateStrategyTest, DataPlaneShardCountsAreBitIdentical) {
                       .Create("steady_state", {{"lambda", "4"}})
                       .ValueOrDie();
 
-  auto baseline = std::move(RunOnScheduler(1, *strategy, fixture, config,
-                                           fixture.SeedPopulation(9)))
+  auto baseline = std::move(RunStrategy(1, *strategy, fixture, config,
+                                        fixture.SeedPopulation(9)))
                       .ValueOrDie();
   for (int workers : {3, 8}) {
-    auto result = std::move(RunOnScheduler(workers, *strategy, fixture,
-                                           config, fixture.SeedPopulation(9)))
+    auto result = std::move(RunStrategy(workers, *strategy, fixture, config,
+                                        fixture.SeedPopulation(9)))
                       .ValueOrDie();
     ExpectIdenticalResults(baseline, result);
   }
@@ -241,26 +257,6 @@ TEST(SteadyStateStrategyTest, StepInvariants) {
                 result.stats.crossover_generations * 8);
 }
 
-TEST(SteadyStateStrategyTest, FinalPopulationMatchesEvaluate) {
-  // Offspring of one slot are scored serially through that parent's state
-  // (ApplyDelta -> breakdown -> Revert) and accepted ones re-apply their
-  // delta; every final score must still equal a from-scratch Evaluate.
-  StrategyFixture fixture;
-  core::GaConfig config;
-  config.generations = 25;
-  config.seed = 17;
-
-  auto strategy = StrategyRegistry::Global()
-                      .Create("steady_state", {{"lambda", "3"}})
-                      .ValueOrDie();
-  auto result = std::move(strategy->Run(fixture.evaluator.get(), config,
-                                        fixture.SeedPopulation(9), nullptr))
-                    .ValueOrDie();
-  ASSERT_EQ(result.history.size(), 25u);
-  evocat::testing::ExpectMatchesEvaluate(*fixture.evaluator, result.population,
-                                         "steady_state final population");
-}
-
 TEST(IslandsStrategyTest, DeterministicAcross1And4Workers) {
   // Islands evolve concurrently on the pool; on 1 worker they run one after
   // another. Both schedules must agree bit for bit, with and without
@@ -285,12 +281,12 @@ TEST(IslandsStrategyTest, DeterministicAcross1And4Workers) {
     auto strategy =
         StrategyRegistry::Global().Create("islands", c.params).ValueOrDie();
     auto serial =
-        std::move(RunOnScheduler(1, *strategy, fixture, config,
-                                 fixture.SeedPopulation(c.population_seed)))
+        std::move(RunStrategy(1, *strategy, fixture, config,
+                              fixture.SeedPopulation(c.population_seed)))
             .ValueOrDie();
     auto parallel =
-        std::move(RunOnScheduler(4, *strategy, fixture, config,
-                                 fixture.SeedPopulation(c.population_seed)))
+        std::move(RunStrategy(4, *strategy, fixture, config,
+                              fixture.SeedPopulation(c.population_seed)))
             .ValueOrDie();
     ExpectIdenticalResults(serial, parallel);
   }

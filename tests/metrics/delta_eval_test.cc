@@ -17,6 +17,7 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
+#include "common/task_scheduler.h"
 #include "core/operators.h"
 #include "datagen/generator.h"
 #include "metrics/ctbil.h"
@@ -448,7 +449,7 @@ std::vector<std::unique_ptr<Measure>> AllMeasuresForShardTests() {
 std::vector<double> ShardWalk(const Measure& measure, const World& world,
                               const Dataset& donor, int workers) {
   std::vector<double> scores;
-  evocat::testing::RunOnScheduler(workers, [&] {
+  RunOnScheduler(workers, [&] {
     auto bound =
         std::move(measure.Bind(world.original, world.attrs)).ValueOrDie();
     Dataset masked = world.masked.Clone();
@@ -541,7 +542,7 @@ TEST(DeltaEvalTest, ConcurrentMeasureFanOutReadsSharedSegment) {
                       .ValueOrDie();
   FitnessEvaluator::Options options;
   options.prl_em_iterations = 10;
-  evocat::testing::RunOnScheduler(4, [&] {
+  RunOnScheduler(4, [&] {
     auto evaluator = std::move(FitnessEvaluator::Create(
                                    world.original, world.attrs, options))
                          .ValueOrDie();

@@ -19,6 +19,7 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
+#include "common/task_scheduler.h"
 #include "metrics/ctbil.h"
 #include "metrics/dbil.h"
 #include "metrics/dbrl.h"
@@ -33,7 +34,6 @@ namespace metrics {
 namespace {
 
 using evocat::testing::MakeScaleWorld;
-using evocat::testing::RunOnScheduler;
 using evocat::testing::ScaleWorld;
 
 std::vector<std::unique_ptr<Measure>> AllMeasures() {

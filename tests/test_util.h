@@ -5,7 +5,6 @@
 #define EVOCAT_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/task_scheduler.h"
 #include "core/individual.h"
 #include "data/dataset.h"
 #include "data/schema.h"
@@ -68,17 +66,6 @@ inline int64_t CountDiffs(const Dataset& x, const Dataset& y,
     }
   }
   return diffs;
-}
-
-/// \brief Runs `fn` as one task on a private scheduler with `workers`
-/// threads and waits for it. Everything `fn` binds or evaluates then sees
-/// that scheduler: its parallel loops split over `workers` threads and the
-/// measures shard their builds `workers` ways.
-inline void RunOnScheduler(int workers, const std::function<void()>& fn) {
-  TaskScheduler scheduler(workers);
-  TaskScheduler::Group group;
-  scheduler.Submit(&group, fn);
-  scheduler.Wait(&group);
 }
 
 /// \brief Oracle check for a population scored through the delta states:
