@@ -38,6 +38,7 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "data/packed_column.h"
@@ -299,9 +300,10 @@ int main(int argc, char** argv) {
   bench::JsonObject measures_json;
   bool all_within_tolerance = true;
   double dbrl_speedup = 0.0;
+  std::vector<std::unique_ptr<metrics::BoundMeasure>> bounds;
   for (const auto& [name, measure] : measures) {
-    auto bound = std::move(measure->Bind(original, attrs)).ValueOrDie();
-    MeasureTiming timing = TimeMeasure(*bound, &masked, steps);
+    bounds.push_back(std::move(measure->Bind(original, attrs)).ValueOrDie());
+    MeasureTiming timing = TimeMeasure(*bounds.back(), &masked, steps);
     std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(),
                 timing.full_eval_seconds * 1e3, timing.delta_eval_seconds * 1e3,
                 timing.speedup, timing.max_abs_diff);
@@ -348,12 +350,14 @@ int main(int argc, char** argv) {
   // Crossover-heavy scenario: the paper operator's own segment
   // distribution — s and r drawn uniformly over the flat genome (inclusive
   // [s, r], averaging ~1/3 of it) — evaluated per offspring as apply +
-  // revert, the engine's reject path. "Segment path" = the measure-owned
-  // cost model (small and mid legs update incrementally, outsized ones
-  // rebuild exactly the measures whose threshold they cross); "rebuild
-  // path" = every state forced to recompute per batch (the pre-cost-model
-  // behaviour for rebuild-sized legs). Both routes share the per-measure
-  // concurrency, so the comparison isolates the cost model itself.
+  // revert, the engine's reject path. "Segment path" = the evaluator's
+  // FitnessState under the measure-owned cost model (small and mid legs
+  // update incrementally, outsized ones rebuild exactly the measures whose
+  // threshold they cross); "rebuild path" = one state per measure, each
+  // forced to recompute per batch (threshold pinned to one cell) and fanned
+  // out across the measures with ParallelFor as FitnessState::ApplyDelta
+  // does. Both routes share the per-measure concurrency, so the comparison
+  // isolates the cost model itself.
   double seg_new_s = 0.0, seg_old_s = 0.0, seg_diff = 0.0;
   int64_t seg_cells = 0;
   const int kSegments = quick ? 4 : 10;
@@ -361,13 +365,18 @@ int main(int argc, char** argv) {
     Rng donor_rng(0xC407);
     Dataset donor =
         protection::Pram(0.5).Protect(original, attrs, &donor_rng).ValueOrDie();
-    metrics::FitnessEvaluator::Options cliff_options;
-    cliff_options.delta_rebuild_fraction = 0.01;
-    auto cliff_evaluator = std::move(metrics::FitnessEvaluator::Create(
-                                         original, attrs, cliff_options))
-                               .ValueOrDie();
     auto segment_state = evaluator->BindState(masked);
-    auto rebuild_state = cliff_evaluator->BindState(masked);
+    std::vector<std::unique_ptr<metrics::MeasureState>> rebuild_states;
+    std::vector<double metrics::FitnessBreakdown::*> fields;
+    for (size_t i = 0; i < measures.size(); ++i) {
+      rebuild_states.push_back(bounds[i]->BindState(masked));
+      rebuild_states.back()->set_full_rebuild_threshold(1);
+      for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
+        if (measures[i].name == measure.name) fields.push_back(measure.field);
+      }
+    }
+    const auto num_states = static_cast<int64_t>(rebuild_states.size());
+    std::vector<double> rebuild_scores(rebuild_states.size());
     core::GenomeLayout layout(attrs, rows);
     int64_t genome = layout.Length();
     Rng seg_rng(0x5E67);
@@ -378,15 +387,22 @@ int main(int argc, char** argv) {
       seg_cells += segment.num_cells();
       Timer new_timer;
       segment_state->ApplyDelta(masked, segment);
-      double new_score = segment_state->breakdown().score;
+      metrics::FitnessBreakdown breakdown = segment_state->breakdown();
       segment_state->Revert();
       seg_new_s += new_timer.ElapsedSeconds();
       Timer old_timer;
-      rebuild_state->ApplyDelta(masked, segment);
-      double old_score = rebuild_state->breakdown().score;
-      rebuild_state->Revert();
+      ParallelFor(0, num_states, [&](int64_t i) {
+        rebuild_states[static_cast<size_t>(i)]->ApplySegment(masked, segment);
+      });
+      for (size_t i = 0; i < rebuild_states.size(); ++i) {
+        rebuild_scores[i] = rebuild_states[i]->Score();
+      }
+      for (const auto& state : rebuild_states) state->RevertSegment();
       seg_old_s += old_timer.ElapsedSeconds();
-      seg_diff = std::max(seg_diff, std::fabs(new_score - old_score));
+      for (size_t i = 0; i < rebuild_states.size(); ++i) {
+        seg_diff = std::max(seg_diff,
+                            std::fabs(breakdown.*fields[i] - rebuild_scores[i]));
+      }
       const auto& cells = segment.cells();
       for (auto it = cells.rbegin(); it != cells.rend(); ++it) {
         masked.SetCode(it->row, it->attr, it->old_code);

@@ -322,24 +322,31 @@ void ParseMeasures(const JsonValue& json, MeasureSpec* measures,
   f.Finish();
 }
 
-void ParseFitness(const JsonValue& json, FitnessSpec* fitness,
-                  Status* status) {
+/// The retired `fitness` block. Each measure state now fixes its own rebuild
+/// fraction, so specs dumped before the block was retired (which carry
+/// `delta_rebuild_fraction: 0`) still parse and reproduce their runs; each
+/// key is accepted only with the value that selects what every run now does.
+void ParseFitness(const JsonValue& json, Status* status) {
   Fields f("fitness", json, status);
-  f.Double("delta_rebuild_fraction", &fitness->delta_rebuild_fraction);
-  f.Bool("probe_rebuild_fractions", &fitness->probe_rebuild_fractions);
+  double fraction = 0.0;
+  f.Double("delta_rebuild_fraction", &fraction);
+  if (fraction != 0.0) {
+    f.Fail("delta_rebuild_fraction",
+           "retired: every measure uses its own rebuild fraction, so only 0 "
+           "is accepted");
+  }
+  bool probe = false;
+  f.Bool("probe_rebuild_fractions", &probe);
+  if (probe) {
+    f.Fail("probe_rebuild_fractions",
+           "retired: rebuild fractions are no longer probed, so only false is "
+           "accepted");
+  }
   if (const JsonValue* fractions = f.Get("rebuild_fractions")) {
-    if (!fractions->is_object()) {
+    if (!fractions->is_object() || !fractions->members().empty()) {
       f.Fail("rebuild_fractions",
-             "expected an object of measure-name -> fraction");
-    } else {
-      fitness->rebuild_fractions.clear();
-      for (const auto& [key, value] : fractions->members()) {
-        if (!value.is_number()) {
-          f.Fail("rebuild_fractions." + key, "expected a number");
-          break;
-        }
-        fitness->rebuild_fractions.emplace_back(key, value.number_value());
-      }
+             "retired: every measure uses its own rebuild fraction, so only "
+             "{} is accepted");
     }
   }
   f.Finish();
@@ -494,7 +501,7 @@ Result<JobSpec> JobSpec::FromJson(const JsonValue& json) {
     ParseMeasures(*measures, &spec.measures, &status);
   }
   if (const JsonValue* fitness = f.Get("fitness")) {
-    ParseFitness(*fitness, &spec.fitness, &status);
+    ParseFitness(*fitness, &status);
   }
   if (const JsonValue* ga = f.Get("ga")) {
     ParseGa(*ga, &spec.ga, &status);
@@ -640,24 +647,6 @@ Status JobSpec::Validate() const {
   if (!selection.ok()) {
     return Status::Invalid("measures.enabled: ", selection.message());
   }
-  if (fitness.delta_rebuild_fraction < 0.0 ||
-      fitness.delta_rebuild_fraction > 1.0) {
-    return Status::Invalid(
-        "fitness.delta_rebuild_fraction: must be in [0, 1] (0 keeps the "
-        "per-measure defaults), got ",
-        fitness.delta_rebuild_fraction);
-  }
-  for (const auto& [name, fraction] : fitness.rebuild_fractions) {
-    if (!metrics::MeasureRegistry::Global().Contains(name)) {
-      return Status::Invalid(
-          "fitness.rebuild_fractions: unknown measure '", name, "'; known: ",
-          Join(metrics::MeasureRegistry::Global().Names(), ','));
-    }
-    if (fraction <= 0.0 || fraction > 1.0) {
-      return Status::Invalid("fitness.rebuild_fractions.", name,
-                             ": must be in (0, 1], got ", fraction);
-    }
-  }
 
   if (strategy.name.empty()) {
     return Status::Invalid("strategy.name: must not be empty");
@@ -705,9 +694,6 @@ metrics::FitnessEvaluator::Options JobSpec::FitnessOptions() const {
   options.id_window_percent = measures.id_window_percent;
   options.rsrl_assumed_p_percent = measures.rsrl_assumed_p_percent;
   options.prl_em_iterations = measures.prl_em_iterations;
-  options.delta_rebuild_fraction = fitness.delta_rebuild_fraction;
-  options.measure_rebuild_fractions = fitness.rebuild_fractions;
-  options.probe_rebuild_fractions = fitness.probe_rebuild_fractions;
   if (!measures.enabled.empty()) {
     for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
       options.*measure.enabled = false;
@@ -806,22 +792,6 @@ JsonValue JobSpec::ToJson() const {
   measures_json.Set("prl_em_iterations",
                     JsonValue::MakeInt(measures.prl_em_iterations));
   json.Set("measures", std::move(measures_json));
-
-  JsonValue fitness_json = JsonValue::MakeObject();
-  fitness_json.Set("delta_rebuild_fraction",
-                   JsonValue::MakeNumber(fitness.delta_rebuild_fraction));
-  if (!fitness.rebuild_fractions.empty()) {
-    JsonValue fractions = JsonValue::MakeObject();
-    for (const auto& [name, fraction] : fitness.rebuild_fractions) {
-      fractions.Set(name, JsonValue::MakeNumber(fraction));
-    }
-    fitness_json.Set("rebuild_fractions", std::move(fractions));
-  }
-  // Serialized only when set so paper-default dumps stay byte-stable.
-  if (fitness.probe_rebuild_fractions) {
-    fitness_json.Set("probe_rebuild_fractions", JsonValue::MakeBool(true));
-  }
-  json.Set("fitness", std::move(fitness_json));
 
   JsonValue ga_json = JsonValue::MakeObject();
   ga_json.Set("generations", JsonValue::MakeInt(ga.generations));

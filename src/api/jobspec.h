@@ -70,25 +70,6 @@ struct MeasureSpec {
   int prl_em_iterations = 50;
 };
 
-/// \brief Incremental-evaluation cost-model tuning (the JSON `fitness`
-/// object; see docs/perf.md for the per-measure cost model).
-struct FitnessSpec {
-  /// Global override of every measure's rebuild fraction — the share of the
-  /// protected cells a segment batch may touch before a measure state
-  /// recomputes from scratch. 0 (default) keeps the per-measure defaults
-  /// (counting measures ~1.0, linkage attacks 0.4–0.6).
-  double delta_rebuild_fraction = 0.0;
-  /// Per-measure overrides by registry name; beat the global override.
-  /// Serialized as the `rebuild_fractions` object.
-  std::vector<std::pair<std::string, double>> rebuild_fractions;
-  /// Bind-time probe: measure each unpinned measure's rebuild-vs-incremental
-  /// crossover on the first state bind and use the measured fractions
-  /// instead of the hand-calibrated defaults. Trades cross-run
-  /// bit-reproducibility (the probe is wall-clock based) for tuned rebuild
-  /// scheduling; pin fractions above to keep a measure bit-exact.
-  bool probe_rebuild_fractions = false;
-};
-
 /// \brief Which evolution strategy schedules the GA step, plus its
 /// parameters (see docs/strategies.md).
 ///
@@ -142,8 +123,6 @@ struct JobSpec {
   /// Seed-method roster; empty = the paper's default mix for the source.
   std::vector<MethodGridSpec> methods;
   MeasureSpec measures;
-  /// Incremental-evaluation rebuild tuning (measure-owned cost model).
-  FitnessSpec fitness;
   /// GA configuration. `ga.seed` is ignored — `seeds` owns all seeding.
   core::GaConfig ga;
   /// Evolution strategy scheduling the GA step (default: the paper's

@@ -157,14 +157,10 @@ Result<Session::SourceData> Session::LoadSource(const JobSpec& spec) {
     std::string cache_key = spec.source.path + "\n" + spec.source.separator +
                             (spec.source.has_header ? "H" : "-") + "\n" +
                             Join(spec.source.ordinal_attributes, ',');
-    bool cached =
-        options_.cache_sources && LookupCachedSource(cache_key, &source.original);
-    if (!cached) {
+    if (!LookupCachedSource(cache_key, &source.original)) {
       EVOCAT_ASSIGN_OR_RETURN(source.original,
                               ReadCsvFile(spec.source.path, csv_options));
-      if (options_.cache_sources) {
-        InsertCachedSource(cache_key, source.original.Clone());
-      }
+      InsertCachedSource(cache_key, source.original.Clone());
     }
     source.label = spec.source.path;
     source.default_spec = protection::AdultPopulationSpec();
@@ -391,16 +387,6 @@ Result<RunArtifacts> Session::Run(const JobSpec& input_spec,
     }
     for (const auto& sample : obs::MetricsRegistry::Global().CounterTotals()) {
       telemetry.counters.emplace_back(sample.series, sample.value);
-    }
-    // Probed rebuild fractions (bind-time probe, when enabled) persist into
-    // the run artifacts so a probed run stays explainable after the fact.
-    // Gauges don't flow through CounterTotals, so append them here, in ppm
-    // to fit the integer counter rows.
-    for (const auto& [measure, fraction] :
-         evaluator->probed_rebuild_fractions()) {
-      telemetry.counters.emplace_back(
-          "evocat_delta_plane_probe_fraction_ppm{measure=\"" + measure + "\"}",
-          static_cast<int64_t>(std::llround(fraction * 1e6)));
     }
     artifacts.telemetry = std::move(telemetry);
   }

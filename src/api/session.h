@@ -112,11 +112,9 @@ struct RunControl {
 class Session {
  public:
   struct Options {
-    /// Cache CSV originals across jobs (keyed by path + read options).
-    bool cache_sources = true;
-    /// Maximum cached CSV originals; the least recently used entry is
-    /// evicted beyond this. 0 means unbounded (not recommended for
-    /// long-running daemons).
+    /// Maximum CSV originals cached across jobs (keyed by path + read
+    /// options); the least recently used entry is evicted beyond this. 0
+    /// means unbounded (not recommended for long-running daemons).
     size_t max_cached_sources = 8;
   };
 

@@ -1,45 +1,19 @@
 #include "common/parallel.h"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-#include <vector>
-
 #include "common/task_scheduler.h"
 
 namespace evocat {
 
 void ParallelFor(int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& fn, int num_threads) {
-  int64_t count = end - begin;
-  if (count <= 0) return;
-  if (num_threads == 1 || count < 2) {
+                 const std::function<void(int64_t)>& fn) {
+  if (end - begin < 2) {
     for (int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  if (num_threads > 1) {
-    // Explicit small worker count (test/diagnostic path): spawn directly.
-    int workers = static_cast<int>(std::min<int64_t>(num_threads, count));
-    std::atomic<int64_t> next{begin};
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([&]() {
-        while (true) {
-          int64_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= end) break;
-          fn(i);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    return;
-  }
-  // Every implicit loop runs on one process-wide work-stealing scheduler.
-  // On a scheduler worker (batch jobs, the evocatd daemon, an enclosing
-  // ParallelFor chunk) the range splits into chunks that idle workers steal;
-  // elsewhere the chunks are injected into the shared queue with the caller
-  // participating. Nested regions therefore fan out across whatever workers
+  // On a scheduler worker (batch jobs, the evocatd daemon, RunOnScheduler,
+  // an enclosing ParallelFor chunk) the range splits into chunks that that
+  // scheduler's idle workers steal; elsewhere the chunks are injected into
+  // the process-wide scheduler's queue with the caller participating. Nested regions therefore fan out across whatever workers
   // are idle instead of serializing. Either way the iteration set and its
   // output slots are identical, so results do not depend on the route.
   if (TaskScheduler::OnWorkerThread()) {

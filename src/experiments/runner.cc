@@ -74,9 +74,6 @@ Result<ExperimentResult> RunExperiment(const DatasetCase& dataset_case,
   spec.measures.id_window_percent = fitness.id_window_percent;
   spec.measures.rsrl_assumed_p_percent = fitness.rsrl_assumed_p_percent;
   spec.measures.prl_em_iterations = fitness.prl_em_iterations;
-  spec.fitness.delta_rebuild_fraction = fitness.delta_rebuild_fraction;
-  spec.fitness.rebuild_fractions = fitness.measure_rebuild_fractions;
-  spec.fitness.probe_rebuild_fractions = fitness.probe_rebuild_fractions;
 
   spec.ga.generations = options.generations;
   spec.ga.mutation_rate = options.mutation_rate;

@@ -75,7 +75,7 @@ class BoundCtbIl : public BoundMeasure {
 class CtbIlState : public MeasureState {
  public:
   CtbIlState(const BoundCtbIl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/1.0), bound_(bound) {
+      : MeasureState(/*rebuild_fraction=*/1.0), bound_(bound) {
     // Subsets that contain a given schema attribute.
     for (size_t s = 0; s < bound_->subsets().size(); ++s) {
       for (int attr : bound_->subsets()[s]) {

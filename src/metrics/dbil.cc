@@ -85,7 +85,7 @@ class BoundDbIl : public BoundMeasure {
 class DbIlState : public MeasureState {
  public:
   DbIlState(const BoundDbIl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/1.0),
+      : MeasureState(/*rebuild_fraction=*/1.0),
         bound_(bound),
         attr_pos_(AttrPositions(bound->tables().attrs(),
                                 masked.num_attributes())) {

@@ -86,7 +86,7 @@ class BoundDbrl : public BoundMeasure {
 class ClusteredDbrlState : public MeasureState {
  public:
   ClusteredDbrlState(const BoundDbrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.15), bound_(bound) {
+      : MeasureState(/*rebuild_fraction=*/0.15), bound_(bound) {
     InitFrom(masked);
     undo_.cluster_best = cluster_best_;
     undo_.score = score_;

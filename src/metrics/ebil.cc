@@ -104,7 +104,7 @@ class BoundEbIl : public BoundMeasure {
 class EbIlState : public MeasureState {
  public:
   EbIlState(const BoundEbIl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/1.0),
+      : MeasureState(/*rebuild_fraction=*/1.0),
         bound_(bound),
         attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())) {
     InitFrom(masked);

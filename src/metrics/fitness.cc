@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "common/parallel.h"
-#include "common/string_utils.h"
-#include "common/timer.h"
 #include "metrics/registry.h"
 #include "obs/metrics.h"
 
@@ -48,49 +46,6 @@ obs::Counter* RebuildFallbackCounter(size_t index) {
     return out;
   }();
   return counters[index];
-}
-
-obs::Gauge* ProbeFractionGauge(size_t index) {
-  static const std::vector<obs::Gauge*> gauges = [] {
-    std::vector<obs::Gauge*> out;
-    for (const FitnessMeasure& measure : FitnessMeasures()) {
-      out.push_back(obs::MetricsRegistry::Global().GetGauge(
-          "evocat_delta_plane_probe_fraction_ppm",
-          "Rebuild fraction the bind-time probe chose, in parts per million "
-          "of the protected cells.",
-          {{"measure", measure.key}}));
-    }
-    return out;
-  }();
-  return gauges[index];
-}
-
-/// The rebuild fraction `options` pin for the measure keyed `key`: a
-/// per-measure override beats the global one; 0 means unpinned.
-double PinnedFraction(const FitnessEvaluator::Options& options,
-                      const char* key) {
-  double fraction = options.delta_rebuild_fraction;
-  for (const auto& [measure, value] : options.measure_rebuild_fractions) {
-    if (ToLower(measure) == key) fraction = value;
-  }
-  return fraction;
-}
-
-/// A no-op segment: `rows` distinct rows, one cell each, old == new (the
-/// current code), so applying it exercises the real per-row incremental
-/// machinery without changing any state observably — apply + revert leaves
-/// the score bitwise where it was.
-SegmentDelta NoOpSegment(const Dataset& masked, const std::vector<int>& attrs,
-                         int rows) {
-  SegmentDelta segment;
-  int64_t n = masked.num_rows();
-  int64_t stride = std::max<int64_t>(1, n / rows);
-  int attr = attrs.front();
-  for (int64_t row = 0; row < n && segment.num_cells() < rows; row += stride) {
-    int32_t code = masked.Code(row, attr);
-    segment.Append(row, attr, code, code);
-  }
-  return segment;
 }
 
 }  // namespace
@@ -186,23 +141,6 @@ Result<std::unique_ptr<FitnessEvaluator>> FitnessEvaluator::Create(
     return Status::Invalid("il_weight must be in [0, 1], got ",
                            options.il_weight);
   }
-  if (options.delta_rebuild_fraction < 0.0 ||
-      options.delta_rebuild_fraction > 1.0) {
-    return Status::Invalid(
-        "delta_rebuild_fraction must be in [0, 1] (0 keeps the per-measure "
-        "defaults), got ",
-        options.delta_rebuild_fraction);
-  }
-  for (const auto& [name, fraction] : options.measure_rebuild_fractions) {
-    if (!MeasureRegistry::Global().Contains(name)) {
-      return Status::Invalid("measure_rebuild_fractions: unknown measure '",
-                             name, "'");
-    }
-    if (fraction <= 0.0 || fraction > 1.0) {
-      return Status::Invalid("measure_rebuild_fractions[", name,
-                             "] must be in (0, 1], got ", fraction);
-    }
-  }
   EVOCAT_RETURN_NOT_OK(CheckMeasureSelection(options));
 
   // Measures are constructed by name through the registry — the same path a
@@ -220,7 +158,6 @@ Result<std::unique_ptr<FitnessEvaluator>> FitnessEvaluator::Create(
     slot.index = i;
     slot.kind = instance->Kind();
     EVOCAT_ASSIGN_OR_RETURN(slot.bound, instance->Bind(original, attrs));
-    slot.pinned_fraction = PinnedFraction(options, measure.key);
     evaluator->slots_.push_back(std::move(slot));
   }
   return evaluator;
@@ -267,94 +204,17 @@ std::unique_ptr<FitnessState> FitnessEvaluator::BindState(
   // Per-measure concurrency pays once a segment is a meaningful share of
   // the file; single-cell mutations stay serial.
   state->parallel_segment_cells_ = std::max<int64_t>(32, total_cells / 256);
-  // Per-measure cost model: the state's own default rebuild fraction,
-  // unless the options pin one.
+  // Each state scales its own rebuild fraction against the cell total.
   for (const Slot& slot : slots_) {
     std::unique_ptr<MeasureState> measure_state = slot.bound->BindState(masked);
     measure_state->set_total_protected_cells(total_cells);
-    if (slot.pinned_fraction > 0.0) {
-      measure_state->set_rebuild_fraction(slot.pinned_fraction);
-    }
     state->states_.push_back(std::move(measure_state));
-  }
-  if (options_.probe_rebuild_fractions) {
-    ProbeAndApplyFractions(masked, state.get(), total_cells);
   }
   state->breakdown_ =
       Fold([&](size_t i) { return state->states_[i]->Score(); });
   state->prev_breakdown_ = state->breakdown_;
   num_evaluations_.fetch_add(1, std::memory_order_relaxed);
   return state;
-}
-
-void FitnessEvaluator::ProbeAndApplyFractions(const Dataset& masked,
-                                              FitnessState* state,
-                                              int64_t total_cells) const {
-  std::lock_guard<std::mutex> lock(probe_mutex_);
-  if (!probed_) {
-    // Time the two cost-model legs per measure with no-op segments: a spread
-    // batch forced down the incremental path (threshold pinned to infinity)
-    // gives the per-cell apply cost, a single cell with threshold 1 gives
-    // the full-rebuild cost. Apply + revert pairs leave each state bitwise
-    // untouched, and ApplySegment is called directly so the probe never
-    // shows up in the delta/revert counters or num_evaluations.
-    constexpr int kProbeRows = 48;
-    constexpr int kReps = 2;
-    SegmentDelta spread = NoOpSegment(masked, attrs_, kProbeRows);
-    SegmentDelta single = NoOpSegment(masked, attrs_, 1);
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].pinned_fraction > 0.0) continue;
-      MeasureState* s = state->states_[i].get();
-      auto fastest = [&](const SegmentDelta& segment) {
-        double best = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < kReps; ++rep) {
-          Timer timer;
-          s->ApplySegment(masked, segment);
-          s->RevertSegment();
-          best = std::min(best, timer.ElapsedSeconds());
-        }
-        return best;
-      };
-      s->set_full_rebuild_threshold(std::numeric_limits<int64_t>::max());
-      double t_inc = fastest(spread);
-      s->set_full_rebuild_threshold(1);
-      double t_rebuild = fastest(single);
-      s->set_full_rebuild_threshold(0);
-      // Crossover point: the batch size (as a fraction of the protected
-      // cells) where per-cell incremental work equals one rebuild. Timer
-      // underflow (either leg below clock resolution) degrades to 1.0 —
-      // "rebuilds are free here", the cell-scoped measures' default.
-      double per_cell =
-          t_inc / static_cast<double>(std::max<int64_t>(1, spread.num_cells()));
-      double denom = per_cell * static_cast<double>(total_cells);
-      double fraction =
-          denom > 0.0 && std::isfinite(t_rebuild) ? t_rebuild / denom : 1.0;
-      fraction = std::min(1.0, std::max(0.01, fraction));
-      slots_[i].probed_fraction = fraction;
-      ProbeFractionGauge(slots_[i].index)
-          ->Set(static_cast<int64_t>(std::llround(fraction * 1e6)));
-    }
-    probed_ = true;
-  }
-  // Every bind (including the first) adopts the cached probe verdicts;
-  // pinned slots keep whatever BindState already set.
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].probed_fraction > 0.0) {
-      state->states_[i]->set_rebuild_fraction(slots_[i].probed_fraction);
-    }
-  }
-}
-
-std::vector<std::pair<std::string, double>>
-FitnessEvaluator::probed_rebuild_fractions() const {
-  std::lock_guard<std::mutex> lock(probe_mutex_);
-  std::vector<std::pair<std::string, double>> out;
-  for (const Slot& slot : slots_) {
-    if (slot.probed_fraction > 0.0) {
-      out.emplace_back(FitnessMeasures()[slot.index].key, slot.probed_fraction);
-    }
-  }
-  return out;
 }
 
 void FitnessState::ApplyDelta(const Dataset& masked_after,

@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -144,31 +143,6 @@ class FitnessEvaluator {
     bool use_dbrl = true;
     bool use_prl = true;
     bool use_rsrl = true;
-    /// Incremental evaluation cost model. Each measure state owns a rebuild
-    /// fraction — the share of the protected cells a segment batch may touch
-    /// before that state recomputes from scratch instead of updating
-    /// incrementally (the cell-scoped counting measures default to 1.0 =
-    /// effectively never; the O(n²) linkage attacks to 0.4–0.6). A positive
-    /// value here overrides the default for *every* measure (0 keeps the
-    /// per-measure defaults).
-    double delta_rebuild_fraction = 0.0;
-    /// Per-measure rebuild-fraction overrides by registry name
-    /// (case-insensitive, e.g. {"DBRL", 0.3}); they beat the global
-    /// override. Values must be in (0, 1]; unknown names are rejected by
-    /// `Create`.
-    std::vector<std::pair<std::string, double>> measure_rebuild_fractions;
-    /// Bind-time rebuild-fraction probe. When true, the first `BindState`
-    /// times one full rebuild against a calibrated batch of no-op segment
-    /// applies per measure (apply + revert pairs, so the probed state is
-    /// left untouched) and replaces each measure's hand-calibrated rebuild
-    /// fraction with the measured crossover point. Measures pinned through
-    /// `measure_rebuild_fractions` or a positive `delta_rebuild_fraction`
-    /// are never probed. The probe only moves *when* a state rebuilds, never
-    /// what it computes, so every score still matches a from-scratch
-    /// Compute; but wall-clock timing is machine-dependent, so cross-run
-    /// bit-reproducibility is traded away — leave it off (the default) or
-    /// pin the fractions when runs must replay exactly.
-    bool probe_rebuild_fractions = false;
   };
 
   /// \brief Binds all enabled measures to `original` over `attrs`.
@@ -210,13 +184,6 @@ class FitnessEvaluator {
   /// \brief Number of `Evaluate` calls served (for the timing tables).
   int64_t num_evaluations() const { return num_evaluations_.load(); }
 
-  /// \brief The rebuild fractions the bind-time probe chose, as (measure
-  /// key, fraction) pairs — empty until the probe has run (it runs on the
-  /// first `BindState` when `Options::probe_rebuild_fractions` is on).
-  /// Persisted into the RunArtifacts telemetry section so probed runs stay
-  /// explainable.
-  std::vector<std::pair<std::string, double>> probed_rebuild_fractions() const;
-
  private:
   friend class FitnessState;
 
@@ -225,11 +192,6 @@ class FitnessEvaluator {
     size_t index = 0;  ///< row of FitnessMeasures()
     MeasureKind kind = MeasureKind::kInformationLoss;
     std::unique_ptr<BoundMeasure> bound;
-    /// Rebuild fraction the options pin for this measure (0 = unpinned:
-    /// the state's own default, which the probe may replace).
-    double pinned_fraction = 0.0;
-    /// The probe's verdict (0 = not probed); guarded by `probe_mutex_`.
-    mutable double probed_fraction = 0.0;
   };
 
   FitnessEvaluator(const Dataset& original, std::vector<int> attrs,
@@ -249,15 +211,7 @@ class FitnessEvaluator {
   template <typename ScoreOf>
   FitnessBreakdown Fold(ScoreOf score_of) const;
 
-  /// \brief Runs the bind-time probe once (first caller wins; later binds
-  /// reuse the cached fractions) and applies the chosen fractions to
-  /// `state`'s unpinned measure slots.
-  void ProbeAndApplyFractions(const Dataset& masked, FitnessState* state,
-                              int64_t total_cells) const;
-
   mutable std::atomic<int64_t> num_evaluations_{0};
-  mutable std::mutex probe_mutex_;
-  mutable bool probed_ = false;
 };
 
 /// \brief One measure of the fitness: its registry name and how it maps

@@ -70,7 +70,7 @@ class IntervalDisclosureState : public MeasureState {
  public:
   IntervalDisclosureState(const BoundIntervalDisclosure* bound,
                           const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/1.0),
+      : MeasureState(/*rebuild_fraction=*/1.0),
         bound_(bound),
         attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())) {
     InitFrom(masked);

@@ -50,38 +50,6 @@ void SegmentDelta::Append(int64_t row, int attr, int32_t old_code,
   }
 }
 
-namespace {
-
-/// Correct-by-construction fallback: every ApplySegment is a full Compute of
-/// the post-image. Used for measures without a true delta implementation.
-class FullRecomputeState : public MeasureState {
- public:
-  FullRecomputeState(const BoundMeasure* bound, double initial_score)
-      : bound_(bound), score_(initial_score), prev_score_(initial_score) {}
-
-  void ApplySegment(const Dataset& masked_after,
-                    const SegmentDelta& segment) override {
-    prev_score_ = score_;
-    if (!segment.empty()) score_ = bound_->Compute(masked_after);
-  }
-
-  void RevertSegment() override { score_ = prev_score_; }
-
-  double Score() const override { return score_; }
-
- private:
-  const BoundMeasure* bound_;
-  double score_;
-  double prev_score_;
-};
-
-}  // namespace
-
-std::unique_ptr<MeasureState> BoundMeasure::BindState(
-    const Dataset& masked) const {
-  return std::make_unique<FullRecomputeState>(this, Compute(masked));
-}
-
 Status ValidateComparable(const Dataset& original, const Dataset& masked,
                           const std::vector<int>& attrs) {
   if (original.num_rows() == 0) {

@@ -215,11 +215,11 @@ class SegmentDelta {
 ///    1e-9 (integer-exact for the counting measures);
 ///  - when the batch reaches `full_rebuild_threshold()` cells the state
 ///    recomputes from scratch automatically (still revertible). The
-///    threshold comes from a per-measure cost model: each state declares the
-///    fraction of the protected cells at which a rebuild becomes cheaper
-///    than its incremental update (`rebuild_fraction`, overridable per
-///    measure through `FitnessEvaluator::Options` / the JobSpec `fitness`
-///    block).
+///    threshold comes from a per-measure cost model: each state fixes, as a
+///    private constant, the fraction of the protected cells at which a
+///    rebuild becomes cheaper than its incremental update (1.0 for CTBIL,
+///    DBIL, EBIL and ID, 0.15 for DBRL, 0.20 for PRL, 0.12 for RSRL; see
+///    docs/perf.md).
 ///
 /// `RevertSegment` undoes exactly one `ApplySegment` (one level deep).
 /// States never retain a pointer to the masked dataset — every call passes
@@ -239,30 +239,23 @@ class MeasureState {
   /// \brief Current score in [0, 100]; cached, O(1).
   virtual double Score() const = 0;
 
-  /// \brief Fraction of the protected cells at which this state prefers a
-  /// full rebuild over its incremental update (the measure's cost model;
-  /// ~1.0 for the O(cell) counting measures, ~0.5 for the linkage attacks).
-  double rebuild_fraction() const { return rebuild_fraction_; }
-  void set_rebuild_fraction(double fraction) {
-    rebuild_fraction_ = fraction < 0.0 ? 0.0 : fraction;
-  }
-
   /// \brief Total protected cells of the bound file (rows x bound attrs);
-  /// the base the rebuild fraction scales against.
+  /// the base the measure's rebuild fraction scales against.
   void set_total_protected_cells(int64_t cells) {
     total_protected_cells_ = cells < 0 ? 0 : cells;
   }
 
-  /// \brief Absolute override of the rebuild threshold in cells (tests and
-  /// benches; 0 restores the fraction-derived threshold).
+  /// \brief Absolute override of the rebuild threshold in cells (0 restores
+  /// the fraction-derived threshold). Tests and benches set 1 to force the
+  /// rebuild path.
   void set_full_rebuild_threshold(int64_t cells) {
     explicit_threshold_cells_ = cells < 0 ? 0 : cells;
   }
 
   /// \brief Segment size (in cells) at which ApplySegment recomputes in
   /// full: the explicit override when set, otherwise
-  /// `rebuild_fraction * total_protected_cells` (never below 1), or never
-  /// when no cell total has been declared.
+  /// the measure's rebuild fraction times `total_protected_cells` (never
+  /// below 1), or never when no cell total has been declared.
   int64_t full_rebuild_threshold() const {
     if (explicit_threshold_cells_ > 0) return explicit_threshold_cells_;
     if (total_protected_cells_ <= 0) return INT64_MAX;
@@ -272,12 +265,12 @@ class MeasureState {
   }
 
  protected:
-  /// \param default_rebuild_fraction the measure's own cost-model default.
-  explicit MeasureState(double default_rebuild_fraction = 1.0)
-      : rebuild_fraction_(default_rebuild_fraction) {}
+  /// \param rebuild_fraction the measure's cost-model constant.
+  explicit MeasureState(double rebuild_fraction)
+      : rebuild_fraction_(rebuild_fraction) {}
 
  private:
-  double rebuild_fraction_;
+  const double rebuild_fraction_;
   int64_t total_protected_cells_ = 0;
   int64_t explicit_threshold_cells_ = 0;
 };
@@ -293,12 +286,11 @@ class BoundMeasure {
   /// `Measure::Compute`; callers on the hot path are trusted).
   virtual double Compute(const Dataset& masked) const = 0;
 
-  /// \brief Opens incremental evaluation for `masked`.
-  ///
-  /// The default implementation returns a correct fallback state that runs a
-  /// full `Compute` on every ApplySegment; measures override it with true
-  /// segment-delta updates. The bound measure must outlive the state.
-  virtual std::unique_ptr<MeasureState> BindState(const Dataset& masked) const;
+  /// \brief Opens incremental evaluation for `masked`: a state whose
+  /// segment-delta updates agree with `Compute`. The bound measure must
+  /// outlive the state.
+  virtual std::unique_ptr<MeasureState> BindState(
+      const Dataset& masked) const = 0;
 };
 
 /// \brief Factory/descriptor for one measure.

@@ -305,7 +305,7 @@ class BoundPrl : public BoundMeasure {
 class ClusteredPrlState : public MeasureState {
  public:
   ClusteredPrlState(const BoundPrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.2), bound_(bound) {
+      : MeasureState(/*rebuild_fraction=*/0.2), bound_(bound) {
     InitFrom(masked);
     undo_.counts = counts_;
     undo_.score = score_;

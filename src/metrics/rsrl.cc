@@ -110,7 +110,7 @@ class BoundRsrl : public BoundMeasure {
 class ClusteredRsrlState : public MeasureState {
  public:
   ClusteredRsrlState(const BoundRsrl* bound, const Dataset& masked)
-      : MeasureState(/*default_rebuild_fraction=*/0.12),
+      : MeasureState(/*rebuild_fraction=*/0.12),
         bound_(bound),
         attr_pos_(AttrPositions(bound->attrs(), masked.num_attributes())) {
     const auto& attrs = bound_->attrs();

@@ -1,6 +1,8 @@
 #include "api/jobspec.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -33,11 +35,6 @@ const char* kFullSpec = R"({
     "enabled": ["CTBIL", "EBIL", "ID", "DBRL"],
     "ctbil_max_dimension": 3,
     "prl_em_iterations": 25
-  },
-  "fitness": {
-    "delta_rebuild_fraction": 0.3,
-    "rebuild_fractions": {"DBRL": 0.2, "PRL": 0.6},
-    "probe_rebuild_fractions": true
   },
   "ga": {
     "generations": 250,
@@ -72,13 +69,6 @@ TEST(JobSpecParseTest, FullSpecParses) {
   EXPECT_EQ(spec.measures.aggregation, metrics::ScoreAggregation::kWeighted);
   EXPECT_DOUBLE_EQ(spec.measures.il_weight, 0.7);
   EXPECT_EQ(spec.measures.ctbil_max_dimension, 3);
-  EXPECT_DOUBLE_EQ(spec.fitness.delta_rebuild_fraction, 0.3);
-  ASSERT_EQ(spec.fitness.rebuild_fractions.size(), 2u);
-  EXPECT_EQ(spec.fitness.rebuild_fractions[0].first, "DBRL");
-  EXPECT_DOUBLE_EQ(spec.fitness.rebuild_fractions[0].second, 0.2);
-  EXPECT_EQ(spec.fitness.rebuild_fractions[1].first, "PRL");
-  EXPECT_DOUBLE_EQ(spec.fitness.rebuild_fractions[1].second, 0.6);
-  EXPECT_TRUE(spec.fitness.probe_rebuild_fractions);
   EXPECT_EQ(spec.ga.generations, 250);
   EXPECT_EQ(spec.ga.selection, core::SelectionStrategy::kRank);
   EXPECT_FALSE(spec.ga.mutation_excludes_current);
@@ -131,6 +121,47 @@ TEST(JobSpecParseTest, RetiredGaKeysAcceptOnlyTrue) {
     EXPECT_NE(result.status().message().find("ga." + key), std::string::npos)
         << result.status().ToString();
   }
+}
+
+TEST(JobSpecParseTest, RetiredFitnessBlockAcceptsOnlyDefaults) {
+  // Specs dumped before the rebuild-fraction knobs were retired carry
+  // `"fitness": {"delta_rebuild_fraction": 0}`. Each key still parses with
+  // the value that selects what every run now does, to the same spec as no
+  // block, and the block is no longer written back.
+  const std::string without = R"({"ga": {"generations": 7}})";
+  std::string expected =
+      JobSpec::FromJsonText(without).ValueOrDie().ToJsonText();
+  EXPECT_EQ(expected.find("\"fitness\""), std::string::npos);
+  for (std::string field : {R"("delta_rebuild_fraction": 0)",
+                            R"("probe_rebuild_fractions": false)",
+                            R"("rebuild_fractions": {})"}) {
+    auto result = JobSpec::FromJsonText(
+        R"({"ga": {"generations": 7}, "fitness": {)" + field + "}}");
+    ASSERT_TRUE(result.ok()) << field << ": " << result.status().ToString();
+    EXPECT_EQ(result.ValueOrDie().ToJsonText(), expected) << field;
+  }
+
+  // Any other value selected an override that no longer exists.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"delta_rebuild_fraction", "0.3"},
+           {"probe_rebuild_fractions", "true"},
+           {"rebuild_fractions", R"({"DBRL": 0.2})"}}) {
+    auto result = JobSpec::FromJsonText(R"({"fitness": {")" + key +
+                                        R"(": )" + value + "}}");
+    ASSERT_FALSE(result.ok()) << key;
+    EXPECT_NE(result.status().message().find("fitness." + key),
+              std::string::npos)
+        << result.status().ToString();
+  }
+
+  auto unknown_key =
+      JobSpec::FromJsonText(R"({"fitness": {"rebuild_cells": 10}})");
+  ASSERT_FALSE(unknown_key.ok());
+  EXPECT_NE(unknown_key.status().message().find(
+                "unknown field 'fitness.rebuild_cells'"),
+            std::string::npos)
+      << unknown_key.status().ToString();
 }
 
 TEST(JobSpecParseTest, UnknownTopLevelFieldIsNamed) {
@@ -286,8 +317,9 @@ TEST(JobSpecValidateTest, NeedsBothMeasureKinds) {
 }
 
 TEST(JobSpecParseTest, LegacyMeasuresRebuildFractionAliasIsRejected) {
-  // The knob lives only in the fitness cost-model block; the old measures.*
-  // spelling is an unknown field like any other.
+  // Only the retired fitness block still parses the rebuild knob (at its
+  // default); the older measures.* spelling is an unknown field like any
+  // other.
   auto legacy = JobSpec::FromJsonText(
       R"({"measures": {"delta_rebuild_fraction": 0.25}})");
   ASSERT_FALSE(legacy.ok());
@@ -295,46 +327,6 @@ TEST(JobSpecParseTest, LegacyMeasuresRebuildFractionAliasIsRejected) {
                 "unknown field 'measures.delta_rebuild_fraction'"),
             std::string::npos)
       << legacy.status().ToString();
-}
-
-TEST(JobSpecValidateTest, FitnessRebuildTuningIsValidated) {
-  auto global = JobSpec::FromJsonText(
-      R"({"fitness": {"delta_rebuild_fraction": 1.5}})");
-  ASSERT_FALSE(global.ok());
-  EXPECT_NE(global.status().message().find("fitness.delta_rebuild_fraction"),
-            std::string::npos);
-
-  auto unknown = JobSpec::FromJsonText(
-      R"({"fitness": {"rebuild_fractions": {"XIL": 0.5}}})");
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_NE(unknown.status().message().find("fitness.rebuild_fractions"),
-            std::string::npos);
-
-  auto range = JobSpec::FromJsonText(
-      R"({"fitness": {"rebuild_fractions": {"DBRL": 0.0}}})");
-  ASSERT_FALSE(range.ok());
-  EXPECT_NE(range.status().message().find("DBRL"), std::string::npos);
-
-  auto bad_type = JobSpec::FromJsonText(
-      R"({"fitness": {"rebuild_fractions": {"DBRL": "fast"}}})");
-  ASSERT_FALSE(bad_type.ok());
-
-  auto unknown_key =
-      JobSpec::FromJsonText(R"({"fitness": {"rebuild_cells": 10}})");
-  ASSERT_FALSE(unknown_key.ok());
-  EXPECT_NE(unknown_key.status().message().find("fitness.rebuild_cells"),
-            std::string::npos);
-}
-
-TEST(JobSpecTest, FitnessOptionsCarryRebuildTuning) {
-  JobSpec spec;
-  spec.fitness.delta_rebuild_fraction = 0.4;
-  spec.fitness.rebuild_fractions = {{"RSRL", 0.3}};
-  metrics::FitnessEvaluator::Options options = spec.FitnessOptions();
-  EXPECT_DOUBLE_EQ(options.delta_rebuild_fraction, 0.4);
-  ASSERT_EQ(options.measure_rebuild_fractions.size(), 1u);
-  EXPECT_EQ(options.measure_rebuild_fractions[0].first, "RSRL");
-  EXPECT_DOUBLE_EQ(options.measure_rebuild_fractions[0].second, 0.3);
 }
 
 TEST(JobSpecTest, FitnessOptionsReflectToggles) {

@@ -62,12 +62,10 @@ TEST(SessionCacheTest, EvictionPreservesCorrectness) {
   std::string path_a = WriteOriginal(0);
   std::string path_b = WriteOriginal(1);
 
-  // Reference artifacts from a cache-less session.
-  Session::Options uncached_options;
-  uncached_options.cache_sources = false;
-  Session uncached(uncached_options);
-  RunArtifacts ref_a = uncached.Run(CsvJob(path_a, 1)).ValueOrDie();
-  RunArtifacts ref_b = uncached.Run(CsvJob(path_b, 2)).ValueOrDie();
+  // Reference artifacts, each from a fresh session: an empty cache loads
+  // from disk.
+  RunArtifacts ref_a = Session().Run(CsvJob(path_a, 1)).ValueOrDie();
+  RunArtifacts ref_b = Session().Run(CsvJob(path_b, 2)).ValueOrDie();
 
   // Capacity 1 forces an eviction on every alternation.
   Session::Options lru_options;

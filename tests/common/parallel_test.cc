@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/task_scheduler.h"
+
 namespace evocat {
 namespace {
 
@@ -32,9 +34,13 @@ TEST(ParallelForTest, NonZeroBegin) {
 }
 
 TEST(ParallelForTest, SingleThreadFallback) {
+  // On a one-worker scheduler nobody is idle to steal, so the loop runs
+  // serially on the caller.
   std::vector<int> order;
-  ParallelFor(0, 5, [&](int64_t i) { order.push_back(static_cast<int>(i)); },
-              /*num_threads=*/1);
+  RunOnScheduler(1, [&] {
+    ParallelFor(0, 5,
+                [&](int64_t i) { order.push_back(static_cast<int>(i)); });
+  });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));  // serial => in order
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "experiments/report.h"
-#include "obs/metrics.h"
 
 namespace evocat {
 namespace experiments {
@@ -113,19 +112,6 @@ TEST(RunnerTest, DeterministicGivenSeeds) {
   EXPECT_DOUBLE_EQ(a.final_scores.min, b.final_scores.min);
   EXPECT_DOUBLE_EQ(a.final_scores.mean, b.final_scores.mean);
   EXPECT_DOUBLE_EQ(a.final_scores.max, b.final_scores.max);
-}
-
-TEST(RunnerTest, ProbeRebuildFractionsReachTheRun) {
-  // Options that ask for the bind-time probe must run it: its verdict for
-  // DBRL lands in the probe gauge (parts per million, never below 1%).
-  auto options = FastOptions(metrics::ScoreAggregation::kMean);
-  options.fitness.probe_rebuild_fractions = true;
-  auto result = RunExperiment(TinyCase(), options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(obs::MetricsRegistry::Global().GaugeValue(
-                "evocat_delta_plane_probe_fraction_ppm",
-                {{"measure", "dbrl"}}),
-            0);
 }
 
 TEST(RunnerTest, AggregationReachesBreakdown) {

@@ -29,6 +29,7 @@
 #include "metrics/plane.h"
 #include "metrics/prl.h"
 #include "metrics/rsrl.h"
+#include "obs/metrics.h"
 #include "protection/pram.h"
 
 namespace evocat {
@@ -274,8 +275,9 @@ TEST(DeltaEvalTest, SegmentDeltaAppendMatchesFromCells) {
 TEST(DeltaEvalTest, FitnessStateRebuildSizedSegmentsMatchAndRevert) {
   // Rebuild-sized segments route FitnessState::ApplyDelta through the
   // concurrent per-measure path; scores must match a full Evaluate and
-  // revert exactly, and a forced global rebuild fraction must not change
-  // the numbers.
+  // revert exactly. The segments cross the linkage attacks' own rebuild
+  // fractions (DBRL 0.15, PRL 0.20, RSRL 0.12), so each of them takes its
+  // full-rebuild path at least once.
   World world = MakeWorld(81, /*rows=*/80);
   Rng donor_rng(82);
   Dataset donor = protection::Pram(0.4)
@@ -284,37 +286,43 @@ TEST(DeltaEvalTest, FitnessStateRebuildSizedSegmentsMatchAndRevert) {
   core::GenomeLayout layout(world.attrs, world.original.num_rows());
   int64_t genome = layout.Length();
 
-  FitnessEvaluator::Options defaults;
-  defaults.prl_em_iterations = 10;
-  FitnessEvaluator::Options forced = defaults;
-  forced.delta_rebuild_fraction = 0.25;  // the old global cliff
-  forced.measure_rebuild_fractions = {{"DBRL", 0.2}};
-  for (const auto& options : {defaults, forced}) {
-    auto evaluator =
-        std::move(FitnessEvaluator::Create(world.original, world.attrs,
-                                           options))
-            .ValueOrDie();
-    Dataset masked = world.masked.Clone();
-    auto state = evaluator->BindState(masked);
-    Rng rng(83);
-    for (double fraction : {0.3, 0.6, 1.0}) {
-      auto length = static_cast<int64_t>(fraction * static_cast<double>(genome));
-      int64_t s = length >= genome
-                      ? 0
-                      : static_cast<int64_t>(rng.UniformInt(0, genome - length));
-      double score_before = state->breakdown().score;
-      Dataset before = masked.Clone();
-      auto segment = core::CrossoverSegmentSwap(layout, donor, &masked, s,
-                                                s + length - 1);
-      state->ApplyDelta(masked, segment);
-      FitnessBreakdown full = evaluator->Evaluate(masked);
-      ASSERT_NEAR(state->breakdown().score, full.score, kTol);
-      ASSERT_NEAR(state->breakdown().il, full.il, kTol);
-      ASSERT_NEAR(state->breakdown().dr, full.dr, kTol);
-      state->Revert();
-      ASSERT_NEAR(state->breakdown().score, score_before, kTol);
-      masked = std::move(before);
-    }
+  auto fallbacks = [](const char* key) {
+    return obs::MetricsRegistry::Global().CounterValue(
+        "evocat_rebuild_fallbacks_total", {{"measure", key}});
+  };
+  const std::vector<const char*> linkage = {"dbrl", "prl", "rsrl"};
+  std::vector<int64_t> fallbacks_before;
+  for (const char* key : linkage) fallbacks_before.push_back(fallbacks(key));
+
+  FitnessEvaluator::Options options;
+  options.prl_em_iterations = 10;
+  auto evaluator =
+      std::move(FitnessEvaluator::Create(world.original, world.attrs, options))
+          .ValueOrDie();
+  Dataset masked = world.masked.Clone();
+  auto state = evaluator->BindState(masked);
+  Rng rng(83);
+  for (double fraction : {0.3, 0.6, 1.0}) {
+    auto length = static_cast<int64_t>(fraction * static_cast<double>(genome));
+    int64_t s = length >= genome
+                    ? 0
+                    : static_cast<int64_t>(rng.UniformInt(0, genome - length));
+    double score_before = state->breakdown().score;
+    Dataset before = masked.Clone();
+    auto segment = core::CrossoverSegmentSwap(layout, donor, &masked, s,
+                                              s + length - 1);
+    state->ApplyDelta(masked, segment);
+    FitnessBreakdown full = evaluator->Evaluate(masked);
+    ASSERT_NEAR(state->breakdown().score, full.score, kTol);
+    ASSERT_NEAR(state->breakdown().il, full.il, kTol);
+    ASSERT_NEAR(state->breakdown().dr, full.dr, kTol);
+    state->Revert();
+    ASSERT_NEAR(state->breakdown().score, score_before, kTol);
+    masked = std::move(before);
+  }
+  for (size_t i = 0; i < linkage.size(); ++i) {
+    EXPECT_GT(fallbacks(linkage[i]), fallbacks_before[i])
+        << linkage[i] << " never took its full-rebuild path";
   }
 }
 

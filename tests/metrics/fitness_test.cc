@@ -232,72 +232,6 @@ TEST(FitnessEvaluatorTest, DeterministicAcrossCalls) {
   EXPECT_DOUBLE_EQ(a.dr, b.dr);
 }
 
-TEST(FitnessEvaluatorTest, ProbeKeepsScoresExactAndReportsFractions) {
-  Dataset original = TestData();
-  auto attrs = AllAttrs(original);
-  Rng rng(11);
-  Dataset masked =
-      protection::Pram(0.3).Protect(original, attrs, &rng).ValueOrDie();
-
-  FitnessEvaluator::Options plain;
-  auto baseline =
-      std::move(FitnessEvaluator::Create(original, attrs, plain)).ValueOrDie();
-  auto baseline_state = baseline->BindState(masked);
-
-  FitnessEvaluator::Options with_probe;
-  with_probe.probe_rebuild_fractions = true;
-  auto probed = std::move(FitnessEvaluator::Create(original, attrs, with_probe))
-                    .ValueOrDie();
-  EXPECT_TRUE(probed->probed_rebuild_fractions().empty());  // not bound yet
-  auto state = probed->BindState(masked);
-
-  // The probe only re-times the cost model (its no-op applies are reverted),
-  // so the bound breakdown must stay bitwise equal to an unprobed bind.
-  EXPECT_EQ(state->breakdown().score, baseline_state->breakdown().score);
-  EXPECT_EQ(state->breakdown().il, baseline_state->breakdown().il);
-  EXPECT_EQ(state->breakdown().dr, baseline_state->breakdown().dr);
-
-  auto fractions = probed->probed_rebuild_fractions();
-  ASSERT_EQ(fractions.size(), 7u);  // every measure enabled, none pinned
-  for (const auto& [name, fraction] : fractions) {
-    EXPECT_GE(fraction, 0.01) << name;
-    EXPECT_LE(fraction, 1.0) << name;
-  }
-
-  // Probed states still score exactly: a real delta applied incrementally
-  // must match the from-scratch oracle.
-  Dataset after = masked.Clone();
-  int32_t old_code = after.Code(3, attrs[0]);
-  int32_t new_code = old_code == 0 ? 1 : 0;
-  after.SetCode(3, attrs[0], new_code);
-  state->ApplyDelta(
-      after, SegmentDelta::FromCells({{3, attrs[0], old_code, new_code}}));
-  FitnessBreakdown oracle = baseline->Evaluate(after);
-  EXPECT_NEAR(state->breakdown().score, oracle.score, 1e-9);
-
-  // A second bind reuses the cached verdicts instead of re-timing.
-  auto state2 = probed->BindState(masked);
-  EXPECT_EQ(probed->probed_rebuild_fractions(), fractions);
-}
-
-TEST(FitnessEvaluatorTest, ProbeSkipsPinnedMeasures) {
-  Dataset original = TestData();
-  auto attrs = AllAttrs(original);
-  FitnessEvaluator::Options options;
-  options.probe_rebuild_fractions = true;
-  options.measure_rebuild_fractions = {{"DBRL", 0.3}, {"PRL", 0.2}};
-  auto evaluator =
-      std::move(FitnessEvaluator::Create(original, attrs, options))
-          .ValueOrDie();
-  auto state = evaluator->BindState(original.Clone());
-  auto fractions = evaluator->probed_rebuild_fractions();
-  EXPECT_EQ(fractions.size(), 5u);  // 7 measures minus the 2 pinned ones
-  for (const auto& [name, fraction] : fractions) {
-    EXPECT_NE(name, "dbrl");
-    EXPECT_NE(name, "prl");
-  }
-}
-
 TEST(FitnessEvaluatorTest, ScoreHelperMatchesAggregation) {
   Dataset original = TestData();
   auto attrs = AllAttrs(original);

@@ -24,7 +24,6 @@
 #include "metrics/dbil.h"
 #include "metrics/dbrl.h"
 #include "metrics/ebil.h"
-#include "metrics/fitness.h"
 #include "metrics/interval_disclosure.h"
 #include "metrics/prl.h"
 #include "metrics/rsrl.h"
@@ -164,87 +163,6 @@ void RunScaleOracle(int64_t rows, int steps, const std::vector<int>& workers,
           << " workers consumed a different number of RNG draws";
     }
   }
-}
-
-/// Fitness-level walk on a `workers`-thread scheduler: the aggregated score
-/// after every apply/revert, with optional per-step cross-checks against a
-/// from-scratch Evaluate. `probed` (optional) receives the evaluator's
-/// probe report.
-std::vector<double> RunFitnessWalk(
-    const ScaleWorld& world, uint64_t seed, int steps, int workers,
-    const FitnessEvaluator::Options& options, bool cross_check,
-    std::vector<std::pair<std::string, double>>* probed) {
-  std::vector<double> trace;
-  RunOnScheduler(workers, [&] {
-    auto evaluator = std::move(FitnessEvaluator::Create(
-                                   world.original, world.attrs, options))
-                         .ValueOrDie();
-    Dataset masked = world.masked.Clone();
-    auto state = evaluator->BindState(masked);
-    trace.push_back(state->breakdown().score);
-    Rng rng(seed);
-    for (int step = 0; step < steps; ++step) {
-      auto deltas = DrawBatch(&masked, world.attrs, &rng, 4);
-      state->ApplyDelta(masked, deltas);
-      trace.push_back(state->breakdown().score);
-      if (cross_check) {
-        EXPECT_NEAR(state->breakdown().score,
-                    evaluator->Evaluate(masked).score, 1e-9)
-            << "probe walk step " << step;
-      }
-      if (step % 3 == 2) {
-        state->Revert();
-        trace.push_back(state->breakdown().score);
-        state->ApplyDelta(masked, deltas);
-        trace.push_back(state->breakdown().score);
-      }
-    }
-    if (probed != nullptr) *probed = evaluator->probed_rebuild_fractions();
-  });
-  return trace;
-}
-
-// Probe leg: the bind-time rebuild-fraction probe only moves *when* states
-// rebuild, never what they compute, so a probe-on walk must still match
-// from-scratch Evaluate at every step and report an in-range fraction for
-// each of the seven measures.
-TEST(ScaleOracleTest, ProbeOnFitnessWalkStaysExact) {
-  ScaleWorld world = MakeScaleWorld(1000, 7001);
-  FitnessEvaluator::Options options;
-  options.prl_em_iterations = 10;
-  options.probe_rebuild_fractions = true;
-  std::vector<std::pair<std::string, double>> probed;
-  RunFitnessWalk(world, 901, /*steps=*/9, /*workers=*/8, options,
-                 /*cross_check=*/true, &probed);
-  ASSERT_EQ(probed.size(), 7u);
-  for (const auto& [name, fraction] : probed) {
-    EXPECT_GE(fraction, 0.01) << name;
-    EXPECT_LE(fraction, 1.0) << name;
-  }
-}
-
-// Pinned fractions bypass the probe entirely, restoring cross-run bit
-// reproducibility: the probe-on trace equals the probe-off trace exactly and
-// the probe reports nothing.
-TEST(ScaleOracleTest, ProbeWithPinnedFractionsReplaysBitIdentically) {
-  ScaleWorld world = MakeScaleWorld(1000, 7001);
-  FitnessEvaluator::Options pinned;
-  pinned.prl_em_iterations = 10;
-  pinned.delta_rebuild_fraction = 0.4;  // pins every measure
-  FitnessEvaluator::Options pinned_probe = pinned;
-  pinned_probe.probe_rebuild_fractions = true;
-  std::vector<std::pair<std::string, double>> probed;
-  std::vector<double> base = RunFitnessWalk(world, 902, /*steps=*/9,
-                                            /*workers=*/8, pinned,
-                                            /*cross_check=*/false, nullptr);
-  std::vector<double> with_probe =
-      RunFitnessWalk(world, 902, /*steps=*/9, /*workers=*/8, pinned_probe,
-                     /*cross_check=*/false, &probed);
-  ASSERT_EQ(base.size(), with_probe.size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    ASSERT_EQ(base[i], with_probe[i]) << "diverged at score " << i;
-  }
-  EXPECT_TRUE(probed.empty());
 }
 
 TEST(ScaleOracleTest, AllMeasuresBitIdentical1k) {
