@@ -181,21 +181,27 @@ void TaskScheduler::WorkerLoop(int index) {
   }
 }
 
+int64_t TaskScheduler::ChunkSize(int64_t count, int64_t min_chunk) const {
+  return std::max<int64_t>(
+      std::max<int64_t>(min_chunk, 1),
+      count / (static_cast<int64_t>(worker_state_.size()) * 4));
+}
+
 void TaskScheduler::ParallelForOnWorker(
-    int64_t begin, int64_t end, const std::function<void(int64_t)>& fn) {
+    int64_t begin, int64_t end, const std::function<void(int64_t)>& fn,
+    int64_t min_chunk) {
   int64_t count = end - begin;
   if (count <= 0) return;
   const int worker = t_worker_index;
-  // Serial fast paths: tiny ranges, foreign threads, and — the common case in
-  // a saturated batch — no idle worker to steal anything.
-  if (count < 2 || t_scheduler != this ||
+  const int64_t chunk = ChunkSize(count, min_chunk);
+  // Serial fast paths: one-chunk ranges, foreign threads, and — the common
+  // case in a saturated batch — no idle worker to steal anything.
+  if (count <= chunk || t_scheduler != this ||
       idle_workers_.load(std::memory_order_acquire) == 0) {
     for (int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
-  int64_t chunk = std::max<int64_t>(
-      1, count / (static_cast<int64_t>(worker_state_.size()) * 4));
   Group group;
   Worker& own = *worker_state_[static_cast<size_t>(worker)];
   int64_t chunks = 0;
@@ -234,20 +240,20 @@ void TaskScheduler::ParallelForOnWorker(
 }
 
 void TaskScheduler::ParallelForShared(
-    int64_t begin, int64_t end, const std::function<void(int64_t)>& fn) {
+    int64_t begin, int64_t end, const std::function<void(int64_t)>& fn,
+    int64_t min_chunk) {
   int64_t count = end - begin;
   if (count <= 0) return;
   if (t_scheduler == this && t_worker_index >= 0) {
-    ParallelForOnWorker(begin, end, fn);
+    ParallelForOnWorker(begin, end, fn, min_chunk);
     return;
   }
-  if (count < 2) {
+  const int64_t chunk = ChunkSize(count, min_chunk);
+  if (count <= chunk) {
     for (int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
-  int64_t chunk = std::max<int64_t>(
-      1, count / (static_cast<int64_t>(worker_state_.size()) * 4));
   Group group;
   int64_t chunks = 0;
   {

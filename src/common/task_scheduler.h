@@ -8,7 +8,10 @@
 /// every worker is busy the split is skipped entirely and the loop runs
 /// serially on its owner, so a saturated batch behaves exactly like the
 /// one-job-per-worker schedule while a skewed batch (one heavy job outliving
-/// its siblings) fans its inner loops out across the idle workers.
+/// its siblings) fans its inner loops out across the idle workers. Loops
+/// whose total work is below one fork/join round trip never reach the
+/// scheduler: `ParallelFor`'s work rule (common/parallel.h) runs them
+/// inline and sets the minimum chunk of the rest.
 ///
 /// Scheduling never changes results: subtasks are independent iterations
 /// writing disjoint slots, so a stolen chunk computes bit-identically to a
@@ -74,15 +77,18 @@ class TaskScheduler {
 
   /// \brief Work-stealing parallel loop; must be called from a worker.
   ///
-  /// Splits [begin, end) into chunks on the calling worker's own deque; the
-  /// owner executes them newest-first while idle workers steal oldest-first.
-  /// When no worker is idle the loop simply runs serially (no queue traffic).
-  /// Blocks until every iteration completed. Iterations must be independent.
+  /// Splits [begin, end) into chunks of at least `min_chunk` iterations
+  /// (only the tail chunk may be shorter) on the calling worker's own deque;
+  /// the owner executes them newest-first while idle workers steal
+  /// oldest-first. When the range fits in one chunk or no worker is idle the
+  /// loop simply runs serially in index order (no queue traffic). Blocks
+  /// until every iteration completed. Iterations must be independent.
   /// Nested calls are first-class: a chunk that opens its own inner loop
   /// splits again onto the executing worker's deque, so inner regions feed
   /// the same pool instead of serializing.
   void ParallelForOnWorker(int64_t begin, int64_t end,
-                           const std::function<void(int64_t)>& fn);
+                           const std::function<void(int64_t)>& fn,
+                           int64_t min_chunk = 1);
 
   /// \brief Parallel loop entry for *any* thread.
   ///
@@ -90,10 +96,12 @@ class TaskScheduler {
   /// thread the chunks are injected into the global queue and the calling
   /// thread participates by draining its own chunks while idle workers take
   /// the rest. Concurrent regions from different threads interleave on the
-  /// pool rather than serializing behind a region lock. Blocks until every
+  /// pool rather than serializing behind a region lock. Chunks hold at least
+  /// `min_chunk` iterations, as in `ParallelForOnWorker`. Blocks until every
   /// iteration completed; iterations must be independent.
   void ParallelForShared(int64_t begin, int64_t end,
-                         const std::function<void(int64_t)>& fn);
+                         const std::function<void(int64_t)>& fn,
+                         int64_t min_chunk = 1);
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
   /// \brief Chunks executed by a worker other than their owner (diagnostic;
@@ -114,6 +122,9 @@ class TaskScheduler {
   };
 
   void WorkerLoop(int index);
+  /// Iterations per chunk for a `count`-iteration loop: a quarter of an even
+  /// per-worker share, never below `min_chunk` (or 1).
+  int64_t ChunkSize(int64_t count, int64_t min_chunk) const;
   /// Pops a runnable task: the worker's own deque first (newest), then the
   /// global queue, then steals the oldest chunk from a sibling. Must be
   /// called with `mutex_` held; `thief` is the calling worker's index.

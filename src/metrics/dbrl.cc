@@ -139,6 +139,8 @@ class ClusteredDbrlState : public MeasureState {
 
     // Per-cluster fold: remove each changed row's old distance, add its new
     // one; a cluster whose support empties stops here and is rescanned.
+    // Work per cluster: two table reads per attribute and changed row.
+    const auto fold_work = static_cast<int64_t>(2 * num_attrs * num_rds);
     rescan_.assign(static_cast<size_t>(num_clusters), 0);
     ParallelFor(0, num_clusters, [&](int64_t c) {
       LinkageRowBest& row = cluster_best_[static_cast<size_t>(c)];
@@ -157,13 +159,16 @@ class ClusteredDbrlState : public MeasureState {
         LinkageRemoveN(&row, sum_old / denom, 1, needs_rescan);
         if (!*needs_rescan) LinkageAddN(&row, sum_new / denom, 1);
       }
-    });
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      if (rescan_[static_cast<size_t>(c)]) {
-        cluster_best_[static_cast<size_t>(c)] =
-            bound_->ScanCluster(c, groups_);
-      }
-    });
+    }, fold_work);
+    // Rescans fan out over the flagged clusters only.
+    rescan_list_.clear();
+    for (int64_t c = 0; c < num_clusters; ++c) {
+      if (rescan_[static_cast<size_t>(c)]) rescan_list_.push_back(c);
+    }
+    ParallelFor(0, static_cast<int64_t>(rescan_list_.size()), [&](int64_t i) {
+      int64_t c = rescan_list_[static_cast<size_t>(i)];
+      cluster_best_[static_cast<size_t>(c)] = bound_->ScanCluster(c, groups_);
+    }, ScanWork());
     RefreshScore();
   }
 
@@ -201,14 +206,20 @@ class ClusteredDbrlState : public MeasureState {
     cluster_best_.assign(static_cast<size_t>(num_clusters), LinkageRowBest{});
     ParallelFor(0, num_clusters, [&](int64_t c) {
       cluster_best_[static_cast<size_t>(c)] = bound_->ScanCluster(c, groups_);
-    });
+    }, ScanWork());
     d_self_.assign(static_cast<size_t>(n), 0.0);
     ParallelFor(0, n, [&](int64_t i) {
       d_self_[static_cast<size_t>(i)] = tables.RecordDistanceCodes(
           clusters.codes(clusters.cluster_of(i)),
           groups_.codes(groups_.group_of(i)));
-    });
+    }, static_cast<int64_t>(groups_.num_attrs()));
     RefreshScore();
+  }
+
+  /// `ParallelFor` work of one `ScanCluster`: a table read per attribute for
+  /// every masked group.
+  int64_t ScanWork() const {
+    return groups_.num_groups() * static_cast<int64_t>(groups_.num_attrs());
   }
 
   /// Serial per-row credit in row order — float-for-float the same sum as
@@ -246,6 +257,7 @@ class ClusteredDbrlState : public MeasureState {
   Undo undo_;
   // Per-apply scratch, reused across generations.
   std::vector<uint8_t> rescan_;
+  std::vector<int64_t> rescan_list_;  ///< flagged clusters, ascending
   std::vector<int32_t> rd_codes_;
 };
 

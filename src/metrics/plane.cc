@@ -63,7 +63,7 @@ void ForEachShard(int64_t rows, int shards,
     // outright instead of producing a degenerate (NaN-prone) partial.
     if (range.empty()) return;
     fn(static_cast<int>(shard), range);
-  });
+  }, /*work_per_iteration=*/rows / shards);
   if (timed) ShardScanSecondsHistogram()->Observe(timer.ElapsedSeconds());
 }
 

@@ -55,6 +55,8 @@ RowRange ShardRows(int64_t rows, int shard, int shards);
 /// \brief Runs `fn(shard, range)` for every *non-empty* shard range, in
 /// parallel over the TaskScheduler. Empty shards (rows < shards) are skipped
 /// so they contribute identity to any merge instead of a degenerate partial.
+/// Each shard counts as its rows of work under `ParallelFor`'s work rule, so
+/// small files run their shards inline, in shard order.
 void ForEachShard(int64_t rows, int shards,
                   const std::function<void(int, RowRange)>& fn);
 

@@ -37,24 +37,31 @@ constexpr int kMinIterationsForWarmStart = 10;
 /// shifts the pattern counts far enough that the warm trajectory rarely
 /// freezes within its budget, and a missed attempt costs kWarmStartSweeps
 /// wasted sweeps on top of the full cold fit it falls back to. GA mutation
-/// legs (1-4 cells) stay warm. The gate depends only on the segment, so a
-/// replayed walk decides identically at any shard count.
+/// legs (1-4 cells) attempt the warm start, but at the default
+/// em_iterations of 50 the cold fit stops on its budget, not on a fixed
+/// point, and the warm attempts miss (docs/perf.md). The gate depends only
+/// on the segment, so a replayed walk decides identically at any shard
+/// count.
 constexpr int64_t kMaxWarmSegmentCells = 8;
 
-obs::Counter* EmWarmHitsCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "evocat_delta_plane_em_warm_hits_total",
-      "PRL EM refits warm-started from the previous model that reached an "
-      "exact fixed point within the warm sweep budget.");
-  return counter;
-}
+/// EM fit outcomes. Both series register on the first fit, so /metrics
+/// reports a zero warm-hit count instead of omitting the series.
+struct EmCounters {
+  obs::Counter* warm_hits;
+  obs::Counter* cold_starts;
+};
 
-obs::Counter* EmColdStartsCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "evocat_delta_plane_em_cold_starts_total",
-      "PRL EM fits that ran the cold trajectory: first fits, rebuilds, and "
-      "warm-start fallbacks on large deltas.");
-  return counter;
+const EmCounters& Em() {
+  static const EmCounters counters{
+      obs::MetricsRegistry::Global().GetCounter(
+          "evocat_delta_plane_em_warm_hits_total",
+          "PRL EM refits warm-started from the previous model that reached "
+          "an exact fixed point within the warm sweep budget."),
+      obs::MetricsRegistry::Global().GetCounter(
+          "evocat_delta_plane_em_cold_starts_total",
+          "PRL EM fits that ran the cold trajectory: first fits, rebuilds, "
+          "and warm-start fallbacks on large deltas.")};
+  return counters;
 }
 
 /// One EM sweep (E-step over the nonzero pattern counts, clamped M-step)
@@ -354,7 +361,8 @@ class ClusteredPrlState : public MeasureState {
       // row's old pattern to its new one (every member row sees the same
       // transition). The (old, new) pairs land in a reused dense scratch;
       // only clusters whose pattern actually moved are logged for Revert
-      // and folded into the global counts.
+      // and folded into the global counts. Work per cluster: two code
+      // compares per attribute.
       ParallelFor(0, num_clusters, [&](int64_t c) {
         const int32_t* cluster_codes = clusters.codes(c);
         uint32_t p_old = bound_->PatternOfCodes(cluster_codes, old_codes);
@@ -366,7 +374,7 @@ class ClusteredPrlState : public MeasureState {
           Shift(&hist, p_old, -1);
           Shift(&hist, p_new, +1);
         }
-      });
+      }, static_cast<int64_t>(2 * num_attrs));
       for (int64_t c = 0; c < num_clusters; ++c) {
         auto p_old =
             static_cast<uint32_t>(scratch_[static_cast<size_t>(c)] >> 32);
@@ -519,13 +527,13 @@ class ClusteredPrlState : public MeasureState {
           j = run;
         }
       }
-    });
+    }, num_groups * static_cast<int64_t>(num_attrs));
     p_self_.assign(static_cast<size_t>(n), 0);
     ParallelFor(0, n, [&](int64_t i) {
       p_self_[static_cast<size_t>(i)] = bound_->PatternOfCodes(
           clusters.codes(clusters.cluster_of(i)),
           groups.codes(groups.group_of(i)));
-    });
+    }, static_cast<int64_t>(num_attrs));
     RefreshCounts();
     // Full builds define the oracle semantics: always refit cold.
     warm_em_ = false;
@@ -592,21 +600,20 @@ class ClusteredPrlState : public MeasureState {
     int64_t num_clusters = clusters.num_clusters();
     size_t num_attrs = attrs.size();
     // Delta refits warm-start EM from the previous model (a small count
-    // shift leaves the fixed point at or next to the old one — 1–3 sweeps
-    // instead of the full budget); first fits, rebuilds and heavy segments
-    // (see kMaxWarmSegmentCells) run cold. The choice reads only the
-    // segment and the carried model, so a walk replays bit-identically at
-    // any shard count.
+    // shift leaves a converged fixed point at or next to the old one);
+    // first fits, rebuilds and heavy segments (see kMaxWarmSegmentCells)
+    // run cold. The choice reads only the segment and the carried model, so
+    // a walk replays bit-identically at any shard count.
     FellegiSunterModel model;
     if (warm_em_ && warm_small_delta_) {
       bool hit = false;
       model = FitFellegiSunterWarm(counts_, static_cast<int>(num_attrs),
                                    bound_->em_iterations(), em_model_, &hit);
-      (hit ? EmWarmHitsCounter() : EmColdStartsCounter())->Increment();
+      (hit ? Em().warm_hits : Em().cold_starts)->Increment();
     } else {
       model = FitFellegiSunter(counts_, static_cast<int>(num_attrs),
                                bound_->em_iterations());
-      EmColdStartsCounter()->Increment();
+      Em().cold_starts->Increment();
     }
     em_model_ = model;
     warm_em_ = true;
@@ -627,32 +634,9 @@ class ClusteredPrlState : public MeasureState {
       }
       return model.PatternWeight(pattern);
     };
-    // Per-cluster best weight attained by any masked record and its support
-    // size (scan-equivalent to Compute's per-record argmax — a cluster's
-    // histogram is each member's).
-    cluster_best_.assign(static_cast<size_t>(num_clusters), 0.0);
-    cluster_best_count_.assign(static_cast<size_t>(num_clusters), 0);
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      const auto& hist = cluster_hist_[static_cast<size_t>(c)];
-      double best = -1e100;
-      for (const auto& [pattern, count] : hist) {
-        if (count > 0) {
-          double w = weight_of(pattern);
-          if (w > best) best = w;
-        }
-      }
-      int64_t best_count = 0;
-      for (const auto& [pattern, count] : hist) {
-        if (count > 0 && weight_of(pattern) >= best - kEps) {
-          best_count += count;
-        }
-      }
-      cluster_best_[static_cast<size_t>(c)] = best;
-      cluster_best_count_[static_cast<size_t>(c)] = best_count;
-    });
-    // Dense self-pattern weight cache (narrow spaces): same values as
-    // weight_of, one array read per row in the serial credit loop.
-    std::vector<double>* dense = nullptr;
+    // Dense weight cache (narrow spaces): same values as weight_of, one
+    // array read per lookup in the argmax and the serial credit loop.
+    const std::vector<double>* dense = nullptr;
     if (num_attrs <= 12) {
       size_t num_patterns = static_cast<size_t>(1) << num_attrs;
       dense_weights_.resize(num_patterns);
@@ -661,11 +645,38 @@ class ClusteredPrlState : public MeasureState {
       }
       dense = &dense_weights_;
     }
+    auto weight = [&](uint32_t pattern) {
+      return dense != nullptr ? (*dense)[pattern] : weight_of(pattern);
+    };
+    // Per-cluster best weight attained by any masked record and its support
+    // size (scan-equivalent to Compute's per-record argmax — a cluster's
+    // histogram is each member's). A histogram holds at most one bucket per
+    // live pattern, and the argmax reads each bucket twice.
+    cluster_best_.assign(static_cast<size_t>(num_clusters), 0.0);
+    cluster_best_count_.assign(static_cast<size_t>(num_clusters), 0);
+    ParallelFor(0, num_clusters, [&](int64_t c) {
+      const auto& hist = cluster_hist_[static_cast<size_t>(c)];
+      double best = -1e100;
+      for (const auto& [pattern, count] : hist) {
+        if (count > 0) {
+          double w = weight(pattern);
+          if (w > best) best = w;
+        }
+      }
+      int64_t best_count = 0;
+      for (const auto& [pattern, count] : hist) {
+        if (count > 0 && weight(pattern) >= best - kEps) {
+          best_count += count;
+        }
+      }
+      cluster_best_[static_cast<size_t>(c)] = best;
+      cluster_best_count_[static_cast<size_t>(c)] = best_count;
+    }, static_cast<int64_t>(2 * counts_.size()));
     double credit = 0.0;
     for (int64_t i = 0; i < n; ++i) {
       auto c = static_cast<size_t>(clusters.cluster_of(i));
       uint32_t p_self = p_self_[static_cast<size_t>(i)];
-      double w_self = dense ? (*dense)[p_self] : weight_of(p_self);
+      double w_self = weight(p_self);
       if (w_self >= cluster_best_[c] - kEps && cluster_best_count_[c] > 0) {
         credit += 1.0 / static_cast<double>(cluster_best_count_[c]);
       }

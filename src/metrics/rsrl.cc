@@ -235,8 +235,10 @@ class ClusteredRsrlState : public MeasureState {
     }
 
     // 4. Changed rows, folded per cluster: remove the old tuple under the
-    //    old candidate matrices, add the new tuple under the new ones.
+    //    old candidate matrices, add the new tuple under the new ones (two
+    //    candidate and two distance reads per attribute and changed row).
     int64_t num_clusters = clusters.num_clusters();
+    const auto fold_work = static_cast<int64_t>(4 * num_attrs * num_rds);
     rescan_.assign(static_cast<size_t>(num_clusters), 0);
     ParallelFor(0, num_clusters, [&](int64_t c) {
       LinkageRowBest& row = core_.cluster_best[static_cast<size_t>(c)];
@@ -261,7 +263,7 @@ class ClusteredRsrlState : public MeasureState {
           LinkageAddN(&row, sum_new / denom, 1);
         }
       }
-    });
+    }, fold_work);
 
     // 5. Flip blocks: (cluster, group) pairs whose candidacy toggled through
     //    a mid-rank shift alone. Each group's multiplicity excludes the
@@ -297,12 +299,16 @@ class ClusteredRsrlState : public MeasureState {
       }
     }
 
-    // 6. Rescan clusters whose support emptied, against the new world.
-    ParallelFor(0, num_clusters, [&](int64_t c) {
-      if (rescan_[static_cast<size_t>(c)]) {
-        core_.cluster_best[static_cast<size_t>(c)] = ScanCluster(c);
-      }
-    });
+    // 6. Rescan clusters whose support emptied, against the new world,
+    //    fanning out over the flagged clusters only.
+    rescan_list_.clear();
+    for (int64_t c = 0; c < num_clusters; ++c) {
+      if (rescan_[static_cast<size_t>(c)]) rescan_list_.push_back(c);
+    }
+    ParallelFor(0, static_cast<int64_t>(rescan_list_.size()), [&](int64_t i) {
+      int64_t c = rescan_list_[static_cast<size_t>(i)];
+      core_.cluster_best[static_cast<size_t>(c)] = ScanCluster(c);
+    }, ScanWork());
 
     // 7. Refresh the per-row self-candidacy cache that RefreshScore reads:
     //    a candidate-window flip can toggle any row, while without flips
@@ -316,7 +322,7 @@ class ClusteredRsrlState : public MeasureState {
         self_ok_[static_cast<size_t>(i)] =
             AllCandCodes(core_.cand, clusters.codes(clusters.cluster_of(i)),
                          groups_.codes(groups_.group_of(i)));
-      });
+      }, static_cast<int64_t>(num_attrs));
     } else {
       for (const RowDelta& rd : row_deltas) {
         self_ok_[static_cast<size_t>(rd.row)] = AllCandCodes(
@@ -421,7 +427,7 @@ class ClusteredRsrlState : public MeasureState {
                               LinkageRowBest{});
     ParallelFor(0, num_clusters, [&](int64_t c) {
       core_.cluster_best[static_cast<size_t>(c)] = ScanCluster(c);
-    });
+    }, ScanWork());
     d_self_.assign(static_cast<size_t>(n), 0.0);
     self_ok_.assign(static_cast<size_t>(n), 0);
     ParallelFor(0, n, [&](int64_t i) {
@@ -431,8 +437,14 @@ class ClusteredRsrlState : public MeasureState {
       self_ok_[static_cast<size_t>(i)] =
           AllCandCodes(core_.cand, clusters.codes(clusters.cluster_of(i)),
                        groups_.codes(groups_.group_of(i)));
-    });
+    }, static_cast<int64_t>(attrs.size()));
     RefreshScore();
+  }
+
+  /// `ParallelFor` work of one `ScanCluster`: a candidate and a distance
+  /// read per attribute for every masked group.
+  int64_t ScanWork() const {
+    return 2 * groups_.num_groups() * static_cast<int64_t>(groups_.num_attrs());
   }
 
   /// Fresh candidate-filtered fold of one original cluster against every
@@ -538,6 +550,7 @@ class ClusteredRsrlState : public MeasureState {
   Undo undo_;
   // Per-apply scratch, reused across generations.
   std::vector<uint8_t> rescan_;
+  std::vector<int64_t> rescan_list_;  ///< flagged clusters, ascending
   std::vector<int64_t> changed_in_group_;
   std::vector<int32_t> rd_codes_;
 };

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -73,6 +74,51 @@ TEST(TaskSchedulerTest, ParallelForOnWorkerVisitsEveryIndexOnce) {
   scheduler.Wait(&group);
   for (int64_t i = 0; i < kN; ++i) {
     EXPECT_EQ(visits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+  }
+}
+
+TEST(TaskSchedulerTest, ParallelForKeepsTheMinimumChunk) {
+  // Both entry points (a worker's own deque, and a foreign thread feeding
+  // the global queue) cut chunks of at least `min_chunk` iterations, not
+  // the 520 / 16 = 32 of an even split on four workers. Each thread's runs
+  // of consecutive indices are whole chunks, so only a run ending in the
+  // tail chunk [500, 520) may be shorter.
+  constexpr int64_t kN = 520;
+  constexpr int64_t kMinChunk = 50;
+  for (int workers : {1, 3, 4}) {
+    TaskScheduler scheduler(workers);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (bool on_worker : {true, false}) {
+      std::vector<std::atomic<int>> visits(kN);
+      std::vector<std::thread::id> owner(kN);
+      auto body = [&](int64_t i) {
+        visits[static_cast<size_t>(i)].fetch_add(1);
+        owner[static_cast<size_t>(i)] = std::this_thread::get_id();
+        std::this_thread::yield();
+      };
+      if (on_worker) {
+        TaskScheduler::Group group;
+        scheduler.Submit(&group, [&] {
+          scheduler.ParallelForOnWorker(0, kN, body, kMinChunk);
+        });
+        scheduler.Wait(&group);
+      } else {
+        scheduler.ParallelForShared(0, kN, body, kMinChunk);
+      }
+      size_t start = 0;
+      for (size_t i = 1; i <= owner.size(); ++i) {
+        if (i < owner.size() && owner[i] == owner[start]) continue;
+        if (i < owner.size()) {
+          EXPECT_GE(static_cast<int64_t>(i - start), kMinChunk)
+              << "run at " << start << ", " << workers << " workers, "
+              << (on_worker ? "worker" : "foreign") << " caller";
+        }
+        start = i;
+      }
+      for (int64_t i = 0; i < kN; ++i) {
+        EXPECT_EQ(visits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+      }
+    }
   }
 }
 
