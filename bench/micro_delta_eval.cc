@@ -1,19 +1,25 @@
 // Micro-benchmark for the incremental (operator-delta) fitness evaluation
 // subsystem, plus the engine's end-to-end throughput on it.
 //
-// Measures, on a >=1,000-record synthetic Adult file:
-//   1. per-measure single-cell (mutation) re-evaluation: full Compute vs
-//      MeasureState::ApplySegment+Score, asserting the two scores agree to
-//      1e-9 and reporting the speedup (target: >= 10x with DBRL enabled);
-//   2. whole-fitness delta evaluation vs FitnessEvaluator::Evaluate;
-//   3. crossover-heavy segment batches (the operator's own uniform 2-point
-//      draw, averaging ~1/3 of the genome): the measure-owned cost model
-//      (segment path) vs forcing every state to rebuild per batch, per
-//      offspring evaluation + revert;
-//   4. a 12-protected-attribute PRL file: the compressed pattern-histogram
-//      delta path vs full Compute and vs a forced per-step rebuild (the
-//      former >8-attribute fallback);
-//   5. the GA engine run end to end (generations/sec and final scores).
+// Scenarios, on a >=1,000-record synthetic Adult file (JSON key in
+// parentheses):
+//   1. per-measure single-cell (mutation) re-evaluation (`measures`): full
+//      Compute vs MeasureState::ApplySegment+Score, asserting the two
+//      scores agree to 1e-9 and reporting the speedup (gate: DBRL >= 10x);
+//   2. whole-fitness delta evaluation vs FitnessEvaluator::Evaluate
+//      (`fitness`);
+//   3. crossover-heavy segment batches (`crossover_segment`; the operator's
+//      own uniform 2-point draw, averaging ~1/3 of the genome): the
+//      measure-owned cost model (segment path) vs forcing every state to
+//      rebuild per batch, per offspring evaluation + revert (gate: >= 1x);
+//   4. a 12-protected-attribute PRL file (`prl_wide`): the compressed
+//      pattern-histogram delta path vs full Compute and vs a forced
+//      per-step rebuild (gate: >= 1x vs rebuild);
+//   5. the GA engine run end to end (`engine_incremental`: generations/sec
+//      and final scores).
+// Every scenario also exits non-zero on a delta/full disagreement above
+// 1e-9. The `counters` block records the process's delta traffic, rebuild
+// fallbacks and PRL EM fits.
 //
 // Results are printed as CSV-ish lines and written machine-readably to
 // BENCH_engine.json (override the path with EVOCAT_BENCH_JSON) so the perf
@@ -22,17 +28,17 @@
 // Usage: micro_delta_eval [--quick] [--scale] [rows] [engine_generations]
 //   --quick shrinks every scenario for CI smoke jobs (and skips the hard
 //   speedup gates, which assume benchmark-sized inputs).
-//   --scale adds the 100k- and 1M-row scenarios (each measure's
-//   single-cell delta vs a forced rebuild of the same state, bit-exact
-//   scores required).
+//   --scale adds the 100k- and 1M-row scenarios (`scale_100k`, `scale_1m`:
+//   each measure's single-cell delta vs a forced rebuild of the same state,
+//   bit-exact scores required).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,8 +47,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "data/packed_column.h"
-#include "data/stats.h"
 #include "obs/metrics.h"
 #include "core/operators.h"
 #include "datagen/generator.h"
@@ -479,61 +483,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(prl_rows), prl_full_s * 1e3, prl_rebuild_s * 1e3,
       prl_delta_s * 1e3, prl_vs_full, prl_vs_rebuild, prl_diff);
 
-  // Word-walk contingency kernel: AccumulateRangePacked (block word decode +
-  // dense mixed-radix accumulation) against the per-value scalar decode +
-  // hash-map insert it replaced, on a CTBIL-shaped attribute pair. Counts
-  // are integers, so the two cell maps must be identical.
-  double kernel_scalar_s = 1e100, kernel_walk_s = 1e100;
-  bool kernel_cells_equal = true;
-  int64_t kernel_rows = quick ? 200000 : 2000000;
-  {
-    Rng kernel_rng(0xB17);
-    std::vector<int32_t> cards{16, 14};
-    std::vector<PackedColumn> packed;
-    for (int32_t card : cards) {
-      std::vector<int32_t> codes;
-      codes.reserve(static_cast<size_t>(kernel_rows));
-      for (int64_t r = 0; r < kernel_rows; ++r) {
-        codes.push_back(static_cast<int32_t>(kernel_rng.UniformInt(0, card - 1)));
-      }
-      packed.push_back(PackedColumn::Pack(codes, card));
-    }
-    std::vector<const PackedColumn*> cols{&packed[0], &packed[1]};
-    std::unordered_map<uint64_t, int64_t> walk_cells, scalar_cells;
-    const int kKernelReps = 3;
-    for (int rep = 0; rep < kKernelReps; ++rep) {
-      std::unordered_map<uint64_t, int64_t> cells;
-      Timer timer;
-      ContingencyTable::AccumulateRangePacked(cols, 0, kernel_rows, &cells);
-      kernel_walk_s = std::min(kernel_walk_s, timer.ElapsedSeconds());
-      walk_cells = std::move(cells);
-    }
-    for (int rep = 0; rep < kKernelReps; ++rep) {
-      std::unordered_map<uint64_t, int64_t> cells;
-      Timer timer;
-      for (int64_t r = 0; r < kernel_rows; ++r) {
-        uint64_t key =
-            static_cast<uint64_t>(static_cast<uint32_t>(packed[0].Get(r))) &
-            0xFFFFu;
-        key |= (static_cast<uint64_t>(static_cast<uint32_t>(packed[1].Get(r))) &
-                0xFFFFu)
-               << 16;
-        ++cells[key];
-      }
-      kernel_scalar_s = std::min(kernel_scalar_s, timer.ElapsedSeconds());
-      scalar_cells = std::move(cells);
-    }
-    kernel_cells_equal = walk_cells == scalar_cells;
-  }
-  double kernel_speedup =
-      kernel_walk_s > 0 ? kernel_scalar_s / kernel_walk_s : 0.0;
-  std::printf(
-      "ctbil_kernel,rows=%lld,scalar_ms=%.3f,word_walk_ms=%.3f,"
-      "speedup=%.2fx,simd=%d,cells_equal=%d\n",
-      static_cast<long long>(kernel_rows), kernel_scalar_s * 1e3,
-      kernel_walk_s * 1e3, kernel_speedup,
-      PackedColumn::SimdEnabled() ? 1 : 0, kernel_cells_equal ? 1 : 0);
-
   // Engine end to end: the paper's experiment on the delta path.
   auto dataset_case = experiments::AdultCase();
   dataset_case.profile.num_records = rows;
@@ -574,18 +523,10 @@ int main(int argc, char** argv) {
       .Add("speedup_vs_full", prl_vs_full)
       .Add("speedup_vs_rebuild", prl_vs_rebuild)
       .Add("max_abs_diff", prl_diff);
-  bench::JsonObject kernel_json;
-  kernel_json.Add("rows", kernel_rows)
-      .Add("scalar_seconds", kernel_scalar_s)
-      .Add("word_walk_seconds", kernel_walk_s)
-      .Add("speedup", kernel_speedup)
-      .Add("simd", static_cast<int64_t>(PackedColumn::SimdEnabled() ? 1 : 0))
-      .Add("cells_equal", static_cast<int64_t>(kernel_cells_equal ? 1 : 0));
   json.Add("measures", measures_json)
       .Add("fitness", fitness_json)
       .Add("crossover_segment", segment_json)
       .Add("prl_wide", prl_wide_json)
-      .Add("ctbil_kernel", kernel_json)
       .Add("engine_incremental", bench::EngineThroughputJson(engine_run));
 
   // Process-wide telemetry counters (fresh process, so totals == this run):
@@ -607,21 +548,9 @@ int main(int argc, char** argv) {
       fallback_json.Add(measure.key, value);
       fallbacks += value;
     }
+    // PRL EM fits (every fit runs the cold schedule).
     counters_json.Add("rebuild_fallbacks_total", fallbacks)
-        .Add("rebuild_fallbacks", fallback_json);
-    // Delta-plane kernel telemetry: word traffic of the packed bulk kernels,
-    // which decode path served them, and the PRL EM warm-start hit rate.
-    counters_json
-        .Add("delta_plane_words_scanned",
-             registry.CounterValue("evocat_delta_plane_words_scanned_total"))
-        .Add("delta_plane_kernel_calls_simd",
-             registry.CounterValue("evocat_delta_plane_kernel_calls_total",
-                                   {{"path", "simd"}}))
-        .Add("delta_plane_kernel_calls_scalar",
-             registry.CounterValue("evocat_delta_plane_kernel_calls_total",
-                                   {{"path", "scalar"}}))
-        .Add("em_warm_hits",
-             registry.CounterValue("evocat_delta_plane_em_warm_hits_total"))
+        .Add("rebuild_fallbacks", fallback_json)
         .Add("em_cold_starts",
              registry.CounterValue("evocat_delta_plane_em_cold_starts_total"));
     json.Add("counters", counters_json);
@@ -648,19 +577,6 @@ int main(int argc, char** argv) {
   if (!all_within_tolerance || fitness_diff > 1e-9 || seg_diff > 1e-9 ||
       prl_diff > 1e-9) {
     std::fprintf(stderr, "FAIL: delta/full disagreement above 1e-9\n");
-    return 1;
-  }
-  if (!kernel_cells_equal) {
-    std::fprintf(stderr,
-                 "FAIL: word-walk contingency kernel disagrees with the "
-                 "scalar decode\n");
-    return 1;
-  }
-  if (!quick && kernel_speedup < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: word-walk contingency kernel %.2fx below the 3x "
-                 "target vs scalar decode\n",
-                 kernel_speedup);
     return 1;
   }
   if (!quick && rows >= 1000) {

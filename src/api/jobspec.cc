@@ -643,9 +643,10 @@ Status JobSpec::Validate() const {
           "'; known: ", Join(metrics::MeasureRegistry::Global().Names(), ','));
     }
   }
+  // The evaluator's own check: measure parameter ranges, then both kinds.
   Status selection = metrics::CheckMeasureSelection(FitnessOptions());
   if (!selection.ok()) {
-    return Status::Invalid("measures.enabled: ", selection.message());
+    return Status::Invalid("measures: ", selection.message());
   }
 
   if (strategy.name.empty()) {

@@ -1,6 +1,6 @@
 #include "data/stats.h"
 
-#include <algorithm>
+#include <cstdlib>
 
 namespace evocat {
 
@@ -75,96 +75,6 @@ void ContingencyTable::AccumulateRange(
              << (16 * i);
     }
     (*cells)[key] += 1;
-  }
-}
-
-void ContingencyTable::AccumulateRangePacked(
-    const std::vector<const PackedColumn*>& columns, int64_t begin, int64_t end,
-    std::unordered_map<uint64_t, int64_t>* cells) {
-  if (begin >= end || columns.empty()) return;
-  // Word-parallel path: decode each column in blocks with the bulk kernel
-  // (one word load per word instead of one per value), combine the block's
-  // codes into a mixed-radix index of `bit_width` bits per attribute, and
-  // count into a dense array — the hash-map insert leaves the per-row path
-  // entirely. The dense index is converted to the sparse 16-bit-per-attr
-  // cell key only once per non-empty cell at flush time. Counts are
-  // integers, so the result is bit-identical to the per-row decode loop for
-  // any block size.
-  constexpr int64_t kBlock = 1024;
-  // 2^18 * 8B = 2MB of scratch at most; wider joint domains (which the
-  // sparse map exists for in the first place) keep the map per row but
-  // still get the block decode.
-  constexpr int kMaxDenseBits = 18;
-  const size_t k = columns.size();
-  int shifts[4] = {0, 0, 0, 0};
-  int total_bits = 0;
-  for (size_t i = 0; i < k; ++i) {
-    shifts[i] = total_bits;
-    total_bits += columns[i]->bit_width();
-  }
-  std::vector<int32_t> buf(k * static_cast<size_t>(kBlock));
-  int32_t* col[4] = {nullptr, nullptr, nullptr, nullptr};
-  for (size_t i = 0; i < k; ++i) col[i] = buf.data() + i * kBlock;
-
-  const bool dense_fits = total_bits <= kMaxDenseBits;
-  std::vector<int64_t> dense;
-  if (dense_fits) dense.assign(size_t{1} << total_bits, 0);
-
-  for (int64_t block = begin; block < end; block += kBlock) {
-    int64_t len = std::min(kBlock, end - block);
-    for (size_t i = 0; i < k; ++i) {
-      columns[i]->DecodeRange(block, block + len, col[i]);
-    }
-    if (dense_fits) {
-      int64_t* counts = dense.data();
-      switch (k) {
-        case 1:
-          for (int64_t r = 0; r < len; ++r) ++counts[col[0][r]];
-          break;
-        case 2: {
-          const int s1 = shifts[1];
-          for (int64_t r = 0; r < len; ++r) {
-            ++counts[col[0][r] | (col[1][r] << s1)];
-          }
-          break;
-        }
-        default:
-          for (int64_t r = 0; r < len; ++r) {
-            uint32_t idx = static_cast<uint32_t>(col[0][r]);
-            for (size_t i = 1; i < k; ++i) {
-              idx |= static_cast<uint32_t>(col[i][r]) << shifts[i];
-            }
-            ++counts[idx];
-          }
-      }
-    } else {
-      for (int64_t r = 0; r < len; ++r) {
-        uint64_t key = 0;
-        for (size_t i = 0; i < k; ++i) {
-          key |= (static_cast<uint64_t>(static_cast<uint32_t>(col[i][r])) &
-                  0xFFFFu)
-                 << (16 * i);
-        }
-        (*cells)[key] += 1;
-      }
-    }
-  }
-
-  if (dense_fits) {
-    const uint32_t width_mask[4] = {
-        k > 0 ? (uint32_t{1} << columns[0]->bit_width()) - 1 : 0,
-        k > 1 ? (uint32_t{1} << columns[1]->bit_width()) - 1 : 0,
-        k > 2 ? (uint32_t{1} << columns[2]->bit_width()) - 1 : 0,
-        k > 3 ? (uint32_t{1} << columns[3]->bit_width()) - 1 : 0};
-    for (size_t idx = 0; idx < dense.size(); ++idx) {
-      if (dense[idx] == 0) continue;
-      uint64_t key = 0;
-      for (size_t i = 0; i < k; ++i) {
-        key |= static_cast<uint64_t>((idx >> shifts[i]) & width_mask[i])
-               << (16 * i);
-      }
-      (*cells)[key] += dense[idx];
-    }
   }
 }
 

@@ -13,7 +13,6 @@
 
 #include "common/result.h"
 #include "data/dataset.h"
-#include "data/packed_column.h"
 
 namespace evocat {
 
@@ -64,12 +63,6 @@ class ContingencyTable {
                               const std::vector<int>& attrs, int64_t begin,
                               int64_t end,
                               std::unordered_map<uint64_t, int64_t>* cells);
-
-  /// \brief `AccumulateRange` over bit-packed columns (one per attribute,
-  /// same order as the subset) — the packed counting path of CTBIL.
-  static void AccumulateRangePacked(
-      const std::vector<const PackedColumn*>& columns, int64_t begin,
-      int64_t end, std::unordered_map<uint64_t, int64_t>* cells);
 
  private:
   std::vector<int> attrs_;

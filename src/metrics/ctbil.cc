@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <unordered_map>
 
 #include "data/stats.h"
@@ -249,10 +250,6 @@ std::unique_ptr<MeasureState> BoundCtbIl::BindState(const Dataset& masked) const
 
 Result<std::unique_ptr<BoundMeasure>> CtbIl::Bind(
     const Dataset& original, const std::vector<int>& attrs) const {
-  if (max_dimension_ < 1) {
-    return Status::Invalid("CTBIL max_dimension must be >= 1, got ",
-                           max_dimension_);
-  }
   // Enumerate attribute subsets of size 1..max_dimension (over positions in
   // `attrs`, then map back to schema indices).
   std::vector<std::vector<int>> subsets;
@@ -276,6 +273,12 @@ void RegisterCtbilMeasure(MeasureRegistry* registry) {
         ParamReader reader("CTBIL", params);
         int64_t max_dimension = reader.GetInt("max_dimension", 2);
         EVOCAT_RETURN_NOT_OK(reader.Finish());
+        if (max_dimension < 1 ||
+            max_dimension > std::numeric_limits<int>::max()) {
+          return Status::Invalid("CTBIL.max_dimension must be in [1, ",
+                                 std::numeric_limits<int>::max(), "], got ",
+                                 max_dimension);
+        }
         return std::unique_ptr<Measure>(
             new CtbIl(static_cast<int>(max_dimension)));
       });

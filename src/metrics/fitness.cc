@@ -81,7 +81,8 @@ Status CheckMeasureSelection(const FitnessEvaluator::Options& options) {
   for (const FitnessMeasure& measure : FitnessMeasures()) {
     if (!(options.*measure.enabled)) continue;
     EVOCAT_ASSIGN_OR_RETURN(std::unique_ptr<Measure> instance,
-                            MeasureRegistry::Global().Create(measure.name));
+                            MeasureRegistry::Global().Create(
+                                measure.name, measure.params(options)));
     (instance->Kind() == MeasureKind::kInformationLoss ? has_il : has_dr) =
         true;
   }

@@ -230,8 +230,10 @@ struct FitnessMeasure {
 /// PRL, RSRL.
 const std::vector<FitnessMeasure>& FitnessMeasures();
 
-/// \brief Fails unless `options` enable at least one information-loss and
-/// one disclosure-risk measure (kinds by `Measure::Kind()`).
+/// \brief Fails unless every enabled measure accepts its parameters from
+/// `options` (the registry factory's range checks) and `options` enable at
+/// least one information-loss and one disclosure-risk measure (kinds by
+/// `Measure::Kind()`).
 Status CheckMeasureSelection(const FitnessEvaluator::Options& options);
 
 }  // namespace metrics

@@ -200,10 +200,6 @@ std::unique_ptr<MeasureState> BoundIntervalDisclosure::BindState(
 
 Result<std::unique_ptr<BoundMeasure>> IntervalDisclosure::Bind(
     const Dataset& original, const std::vector<int>& attrs) const {
-  if (window_percent_ <= 0.0 || window_percent_ > 100.0) {
-    return Status::Invalid("ID window must be in (0, 100], got ",
-                           window_percent_);
-  }
   return std::unique_ptr<BoundMeasure>(
       new BoundIntervalDisclosure(original, attrs, window_percent_));
 }
@@ -214,6 +210,10 @@ void RegisterIntervalDisclosureMeasure(MeasureRegistry* registry) {
         ParamReader reader("ID", params);
         double window_percent = reader.GetDouble("window_percent", 10.0);
         EVOCAT_RETURN_NOT_OK(reader.Finish());
+        if (window_percent <= 0.0 || window_percent > 100.0) {
+          return Status::Invalid("ID.window_percent must be in (0, 100], got ",
+                                 window_percent);
+        }
         return std::unique_ptr<Measure>(new IntervalDisclosure(window_percent));
       });
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "common/math_utils.h"
@@ -22,46 +23,13 @@ constexpr double kProbCeil = 1.0 - 1e-6;
 // Weight-tie epsilon; shared with the distance-tie epsilon of the other
 // linkage attacks so the tie semantics stay uniform.
 constexpr double kEps = kLinkageEps;
-/// Sweep budget of a warm-started refit before falling back to the cold
-/// trajectory. EM contracts by roughly 7x per sweep near the solution, but
-/// the exit criterion is a *bitwise* fixed point, so closing the last few
-/// ulps dominates: small deltas land in ~15 sweeps (measured), well under
-/// the cold budget, and the margin here keeps borderline refits warm.
-constexpr int kWarmStartSweeps = 24;
-/// Warm starts assume the cold budget itself is past convergence (so the
-/// warm fixed point is the one the cold trajectory lands on); tiny budgets
-/// keep the exact cold arithmetic instead.
-constexpr int kMinIterationsForWarmStart = 10;
-/// Segment size (cells) above which a delta refit skips the warm attempt
-/// and goes straight to the cold fit: a heavy segment (crossover legs)
-/// shifts the pattern counts far enough that the warm trajectory rarely
-/// freezes within its budget, and a missed attempt costs kWarmStartSweeps
-/// wasted sweeps on top of the full cold fit it falls back to. GA mutation
-/// legs (1-4 cells) attempt the warm start, but at the default
-/// em_iterations of 50 the cold fit stops on its budget, not on a fixed
-/// point, and the warm attempts miss (docs/perf.md). The gate depends only
-/// on the segment, so a replayed walk decides identically at any shard
-/// count.
-constexpr int64_t kMaxWarmSegmentCells = 8;
 
-/// EM fit outcomes. Both series register on the first fit, so /metrics
-/// reports a zero warm-hit count instead of omitting the series.
-struct EmCounters {
-  obs::Counter* warm_hits;
-  obs::Counter* cold_starts;
-};
-
-const EmCounters& Em() {
-  static const EmCounters counters{
-      obs::MetricsRegistry::Global().GetCounter(
-          "evocat_delta_plane_em_warm_hits_total",
-          "PRL EM refits warm-started from the previous model that reached "
-          "an exact fixed point within the warm sweep budget."),
-      obs::MetricsRegistry::Global().GetCounter(
-          "evocat_delta_plane_em_cold_starts_total",
-          "PRL EM fits that ran the cold trajectory: first fits, rebuilds, "
-          "and warm-start fallbacks on large deltas.")};
-  return counters;
+/// Counts every PRL EM fit (first fits, rebuilds and delta refits alike).
+obs::Counter* EmColdStartsCounter() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      "evocat_delta_plane_em_cold_starts_total",
+      "PRL EM fits; every fit runs the cold schedule on the current counts.");
+  return counter;
 }
 
 /// One EM sweep (E-step over the nonzero pattern counts, clamped M-step)
@@ -145,27 +113,6 @@ FellegiSunterModel FitFellegiSunter(
     if (EmSweep(pattern_counts, num_attrs, total, &model)) break;
   }
   return model;
-}
-
-FellegiSunterModel FitFellegiSunterWarm(
-    const std::vector<std::pair<uint32_t, double>>& pattern_counts,
-    int num_attrs, int em_iterations, const FellegiSunterModel& warm_start,
-    bool* warm_hit) {
-  *warm_hit = false;
-  if (em_iterations >= kMinIterationsForWarmStart &&
-      static_cast<int>(warm_start.m.size()) == num_attrs &&
-      static_cast<int>(warm_start.u.size()) == num_attrs) {
-    double total = 0.0;
-    for (const auto& [pattern, count] : pattern_counts) total += count;
-    FellegiSunterModel model = warm_start;
-    for (int iter = 0; iter < kWarmStartSweeps; ++iter) {
-      if (EmSweep(pattern_counts, num_attrs, total, &model)) {
-        *warm_hit = true;
-        return model;
-      }
-    }
-  }
-  return FitFellegiSunter(pattern_counts, num_attrs, em_iterations);
 }
 
 FellegiSunterModel FitFellegiSunter(const std::vector<double>& pattern_counts,
@@ -322,12 +269,9 @@ class ClusteredPrlState : public MeasureState {
                     const SegmentDelta& segment) override {
     undo_.counts = counts_;
     undo_.score = score_;
-    undo_.em_model = em_model_;
-    undo_.warm_em = warm_em_;
     undo_.shifts.clear();
     undo_.p_self.clear();
     undo_.rebuilt = false;
-    warm_small_delta_ = segment.num_cells() <= kMaxWarmSegmentCells;
     if (segment.num_cells() >= full_rebuild_threshold()) {
       undo_.rebuilt = true;
       undo_.hist_backup = cluster_hist_;
@@ -417,8 +361,6 @@ class ClusteredPrlState : public MeasureState {
     }
     counts_ = undo_.counts;
     score_ = undo_.score;
-    em_model_ = undo_.em_model;
-    warm_em_ = undo_.warm_em;
     undo_.shifts.clear();
     undo_.p_self.clear();
   }
@@ -451,10 +393,6 @@ class ClusteredPrlState : public MeasureState {
     bool rebuilt = false;
     std::vector<std::vector<PatternCount>> hist_backup;
     std::vector<uint32_t> p_self_backup;
-    /// Carried EM model snapshot so a reverted apply also rewinds the next
-    /// refit's warm-start point (keeps replayed walks bit-reproducible).
-    FellegiSunterModel em_model;
-    bool warm_em = false;
   };
 
   /// Moves `delta` units of count into `pattern`'s bucket, keeping the
@@ -535,8 +473,6 @@ class ClusteredPrlState : public MeasureState {
           groups.codes(groups.group_of(i)));
     }, static_cast<int64_t>(num_attrs));
     RefreshCounts();
-    // Full builds define the oracle semantics: always refit cold.
-    warm_em_ = false;
     RefreshScore();
   }
 
@@ -599,24 +535,12 @@ class ClusteredPrlState : public MeasureState {
     int64_t n = bound_->original().num_rows();
     int64_t num_clusters = clusters.num_clusters();
     size_t num_attrs = attrs.size();
-    // Delta refits warm-start EM from the previous model (a small count
-    // shift leaves a converged fixed point at or next to the old one);
-    // first fits, rebuilds and heavy segments (see kMaxWarmSegmentCells)
-    // run cold. The choice reads only the segment and the carried model, so
-    // a walk replays bit-identically at any shard count.
-    FellegiSunterModel model;
-    if (warm_em_ && warm_small_delta_) {
-      bool hit = false;
-      model = FitFellegiSunterWarm(counts_, static_cast<int>(num_attrs),
-                                   bound_->em_iterations(), em_model_, &hit);
-      (hit ? Em().warm_hits : Em().cold_starts)->Increment();
-    } else {
-      model = FitFellegiSunter(counts_, static_cast<int>(num_attrs),
-                               bound_->em_iterations());
-      Em().cold_starts->Increment();
-    }
-    em_model_ = model;
-    warm_em_ = true;
+    // Every refit runs the cold fit on the current counts — the arithmetic
+    // Compute runs — so the model is a function of the file, not of the
+    // walk that reached it.
+    FellegiSunterModel model = FitFellegiSunter(
+        counts_, static_cast<int>(num_attrs), bound_->em_iterations());
+    EmColdStartsCounter()->Increment();
     // Weights for exactly the patterns alive somewhere in the file; every
     // cluster's buckets (and each row's self pattern) are a subset of these.
     std::vector<double> weights(counts_.size());
@@ -693,12 +617,6 @@ class ClusteredPrlState : public MeasureState {
   std::vector<uint32_t> p_self_;
   double score_ = 0.0;
   Undo undo_;
-  /// Previous refit's EM model — the next delta refit's warm-start point.
-  FellegiSunterModel em_model_;
-  bool warm_em_ = false;
-  /// True when the segment being applied is small enough for a warm refit
-  /// (see kMaxWarmSegmentCells); set at the top of every ApplySegment.
-  bool warm_small_delta_ = false;
   // Per-apply scratch, reused across generations.
   std::vector<uint64_t> scratch_;
   std::vector<int32_t> rd_codes_;
@@ -723,9 +641,6 @@ Result<std::unique_ptr<BoundMeasure>> ProbabilisticRecordLinkage::Bind(
   if (attrs.size() > 20) {
     return Status::Invalid("PRL agreement patterns limited to 20 attributes");
   }
-  if (em_iterations_ < 1) {
-    return Status::Invalid("PRL needs at least one EM iteration");
-  }
   return std::unique_ptr<BoundMeasure>(
       new BoundPrl(original, attrs, em_iterations_));
 }
@@ -736,6 +651,12 @@ void RegisterPrlMeasure(MeasureRegistry* registry) {
         ParamReader reader("PRL", params);
         int64_t em_iterations = reader.GetInt("em_iterations", 50);
         EVOCAT_RETURN_NOT_OK(reader.Finish());
+        if (em_iterations < 1 ||
+            em_iterations > std::numeric_limits<int>::max()) {
+          return Status::Invalid("PRL.em_iterations must be in [1, ",
+                                 std::numeric_limits<int>::max(), "], got ",
+                                 em_iterations);
+        }
         return std::unique_ptr<Measure>(
             new ProbabilisticRecordLinkage(static_cast<int>(em_iterations)));
       });

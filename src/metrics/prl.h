@@ -27,9 +27,10 @@ namespace metrics {
 /// \brief EM-fitted Fellegi–Sunter re-identification risk.
 class ProbabilisticRecordLinkage : public Measure {
  public:
-  /// \param em_iterations number of EM refinement sweeps over the pattern
+  /// \param em_iterations budget of EM refinement sweeps over the pattern
   ///        counts (the pattern space is tiny — 2^|attrs| — so sweeps are
-  ///        cheap; 50 is far past convergence for these files).
+  ///        cheap). The fit stops early only at a bitwise fixed point; at
+  ///        the default of 50 the paper files stop on the budget.
   explicit ProbabilisticRecordLinkage(int em_iterations = 50)
       : em_iterations_(em_iterations) {}
 
@@ -70,34 +71,6 @@ FellegiSunterModel FitFellegiSunter(const std::vector<double>& pattern_counts,
 FellegiSunterModel FitFellegiSunter(
     const std::vector<std::pair<uint32_t, double>>& pattern_counts,
     int num_attrs, int em_iterations);
-
-/// \brief Warm-started sparse fit for the incremental delta path.
-///
-/// Runs a short budget of EM sweeps from `warm_start` (normally the previous
-/// refit's model — a single-cell delta barely moves the pattern counts, so
-/// the old model is already next to the new fixed point). A sweep that
-/// leaves the model bitwise unchanged is an exact fixed point — every
-/// further sweep would recompute identical E- and M-steps — so the fit stops
-/// there and reports `*warm_hit = true`. If no fixed point appears within
-/// the warm budget (a large delta moved the counts too far), or the warm
-/// model has the wrong arity, or `em_iterations` is too small for the cold
-/// trajectory itself to converge, the warm attempt is discarded and the
-/// standard cold fit runs unchanged (`*warm_hit = false`).
-///
-/// A warm hit is exactly self-consistent but not bitwise equal to the cold
-/// trajectory's own frozen point: near convergence each EM sweep moves the
-/// parameters by less than one ulp, so the map freezes anywhere on a small
-/// plateau (~1e-4 wide in the parameters) and the two trajectories stop at
-/// different points on it. The delta state carries its model through every
-/// apply and revert, so a walk replays bit-identically at any shard count —
-/// the invariant the scale oracle's 1/3/8-worker traces check. Against a
-/// cold from-scratch fit the linkage credit only moves if a pattern weight
-/// crosses a tie boundary, which the 1e-9 `Compute` checks guard on real
-/// walks.
-FellegiSunterModel FitFellegiSunterWarm(
-    const std::vector<std::pair<uint32_t, double>>& pattern_counts,
-    int num_attrs, int em_iterations, const FellegiSunterModel& warm_start,
-    bool* warm_hit);
 
 }  // namespace metrics
 }  // namespace evocat

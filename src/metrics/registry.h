@@ -27,8 +27,9 @@ namespace metrics {
 
 /// \brief Builds one configured measure from a parameter map.
 ///
-/// Factories reject unknown or malformed parameters with a Status naming the
-/// offending field (use `ParamReader`).
+/// Factories reject unknown, malformed or out-of-range parameters with a
+/// Status naming the measure and the field (use `ParamReader`); `Bind` keeps
+/// only the checks that depend on the data.
 using MeasureFactory =
     std::function<Result<std::unique_ptr<Measure>>(const ParamMap&)>;
 

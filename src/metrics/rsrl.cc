@@ -563,10 +563,6 @@ std::unique_ptr<MeasureState> BoundRsrl::BindState(const Dataset& masked) const 
 
 Result<std::unique_ptr<BoundMeasure>> RankSwappingRecordLinkage::Bind(
     const Dataset& original, const std::vector<int>& attrs) const {
-  if (assumed_p_percent_ <= 0.0 || assumed_p_percent_ > 100.0) {
-    return Status::Invalid("RSRL assumed p must be in (0, 100], got ",
-                           assumed_p_percent_);
-  }
   return std::unique_ptr<BoundMeasure>(
       new BoundRsrl(original, attrs, assumed_p_percent_));
 }
@@ -577,6 +573,11 @@ void RegisterRsrlMeasure(MeasureRegistry* registry) {
         ParamReader reader("RSRL", params);
         double assumed_p_percent = reader.GetDouble("assumed_p_percent", 15.0);
         EVOCAT_RETURN_NOT_OK(reader.Finish());
+        if (assumed_p_percent <= 0.0 || assumed_p_percent > 100.0) {
+          return Status::Invalid(
+              "RSRL.assumed_p_percent must be in (0, 100], got ",
+              assumed_p_percent);
+        }
         return std::unique_ptr<Measure>(
             new RankSwappingRecordLinkage(assumed_p_percent));
       });

@@ -316,6 +316,26 @@ TEST(JobSpecValidateTest, NeedsBothMeasureKinds) {
             std::string::npos);
 }
 
+TEST(JobSpecValidateTest, MeasureParameterRangesAreNamed) {
+  // Out-of-range measure parameters fail at validation (the registry
+  // factories' checks), naming the measure and the parameter, instead of
+  // failing the job when the evaluator binds.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"measures": {"ctbil_max_dimension": 0}})", "CTBIL.max_dimension"},
+      {R"({"measures": {"rsrl_assumed_p_percent": 0}})",
+       "RSRL.assumed_p_percent"},
+      {R"({"measures": {"id_window_percent": -5}})", "ID.window_percent"},
+      {R"({"measures": {"prl_em_iterations": -3}})", "PRL.em_iterations"},
+      {R"({"measures": {"prl_em_iterations": 0}})", "PRL.em_iterations"},
+  };
+  for (const auto& [json, field] : cases) {
+    auto spec = JobSpec::FromJsonText(json);
+    ASSERT_FALSE(spec.ok()) << json;
+    EXPECT_NE(spec.status().message().find(field), std::string::npos)
+        << spec.status().ToString();
+  }
+}
+
 TEST(JobSpecParseTest, LegacyMeasuresRebuildFractionAliasIsRejected) {
   // Only the retired fitness block still parses the rebuild knob (at its
   // default); the older measures.* spelling is an unknown field like any

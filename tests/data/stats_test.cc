@@ -1,8 +1,6 @@
 #include "data/stats.h"
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -96,73 +94,6 @@ TEST(ContingencyTableTest, PackKeyDistinctness) {
   auto k3 = ContingencyTable::PackKey({1, 2, 0});
   EXPECT_NE(k1, k2);
   EXPECT_EQ(k1, k3);  // trailing zero attribute packs identically by design
-}
-
-/// The per-row scalar reference for AccumulateRangePacked: decode one code
-/// at a time with Get and insert into the sparse map — the exact loop the
-/// word-parallel kernel replaced.
-std::unordered_map<uint64_t, int64_t> ScalarAccumulate(
-    const std::vector<const PackedColumn*>& columns, int64_t begin,
-    int64_t end) {
-  std::unordered_map<uint64_t, int64_t> cells;
-  for (int64_t r = begin; r < end; ++r) {
-    uint64_t key = 0;
-    for (size_t i = 0; i < columns.size(); ++i) {
-      key |= (static_cast<uint64_t>(static_cast<uint32_t>(columns[i]->Get(r))) &
-              0xFFFFu)
-             << (16 * i);
-    }
-    cells[key] += 1;
-  }
-  return cells;
-}
-
-std::vector<int32_t> RandomCodes(int64_t rows, int32_t card, uint64_t seed) {
-  std::vector<int32_t> codes(static_cast<size_t>(rows));
-  uint64_t x = seed;
-  for (auto& code : codes) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    code = static_cast<int32_t>((x >> 33) % static_cast<uint64_t>(card));
-  }
-  return codes;
-}
-
-TEST(ContingencyTableTest, AccumulateRangePackedMatchesScalarDecode) {
-  // The dense word-parallel counting path against the scalar reference:
-  // 1..4 columns of mixed widths (straddling and byte-aligned), ranges that
-  // start/end mid-word and mid-block, and an empty range.
-  const int32_t cards[4] = {7, 16, 251, 3};
-  std::vector<PackedColumn> packed;
-  for (int i = 0; i < 4; ++i) {
-    packed.push_back(
-        PackedColumn::Pack(RandomCodes(2500, cards[i], 50 + i), cards[i]));
-  }
-  for (size_t k = 1; k <= 4; ++k) {
-    std::vector<const PackedColumn*> columns;
-    for (size_t i = 0; i < k; ++i) columns.push_back(&packed[i]);
-    for (auto [begin, end] : {std::pair<int64_t, int64_t>{0, 2500},
-                              {37, 2411}, {1023, 1025}, {700, 700}}) {
-      std::unordered_map<uint64_t, int64_t> cells;
-      ContingencyTable::AccumulateRangePacked(columns, begin, end, &cells);
-      EXPECT_EQ(cells, ScalarAccumulate(columns, begin, end))
-          << k << " columns, range [" << begin << ", " << end << ")";
-    }
-  }
-}
-
-TEST(ContingencyTableTest, AccumulateRangePackedWideDomainTakesMapPath) {
-  // Joint domains past the dense-scratch cap (two 16-bit columns = 32 bits)
-  // must still agree with the scalar reference via the sparse-map path, and
-  // accumulate on top of pre-existing cells.
-  auto a = PackedColumn::Pack(RandomCodes(800, 40000, 9), 40000);
-  auto b = PackedColumn::Pack(RandomCodes(800, 33000, 10), 33000);
-  std::vector<const PackedColumn*> columns{&a, &b};
-  auto expected = ScalarAccumulate(columns, 0, 800);
-  expected[12345] += 5;  // pre-existing cell the kernel must add onto
-  std::unordered_map<uint64_t, int64_t> cells;
-  cells[12345] = 5;
-  ContingencyTable::AccumulateRangePacked(columns, 0, 800, &cells);
-  EXPECT_EQ(cells, expected);
 }
 
 TEST(CategoryMidranksTest, TieAwarePositions) {

@@ -1,8 +1,10 @@
 // Randomized delta-vs-full equivalence: long sequences of mutations and
 // crossover-style segment swaps are applied to a masked file while each
 // measure's incremental state tracks them; after every batch the state's
-// score must match a from-scratch Compute() within 1e-9, and a revert must
-// restore the previous score exactly. Also exercises the automatic
+// score must match a from-scratch Compute() within 1e-9 and equal a state
+// freshly bound to the same file bit for bit (a score is a function of the
+// file, not of the walk that reached it), and a revert must restore the
+// previous score exactly. Also exercises the automatic
 // full-rebuild fallback for oversized batches and the COW dataset plumbing
 // the engine relies on.
 
@@ -116,6 +118,8 @@ void RunMeasureSequence(const Measure& measure, uint64_t seed, int steps,
     ASSERT_NEAR(state->Score(), full, kTol)
         << measure.Name() << " diverged at step " << step << " (batch of "
         << deltas.num_cells() << " cells)";
+    EXPECT_EQ(state->Score(), bound->BindState(world.masked)->Score())
+        << measure.Name() << " walk differs from a fresh bind at step " << step;
 
     // Every fourth batch: revert both the state and the file, confirm the
     // state rewinds exactly, then re-apply so the walk keeps moving.
@@ -126,6 +130,9 @@ void RunMeasureSequence(const Measure& measure, uint64_t seed, int steps,
       Dataset after = world.masked;
       world.masked = before;
       ASSERT_NEAR(state->Score(), bound->Compute(world.masked), kTol);
+      EXPECT_EQ(state->Score(), bound->BindState(world.masked)->Score())
+          << measure.Name() << " revert differs from a fresh bind at step "
+          << step;
       world.masked = after;
       state->ApplySegment(world.masked, deltas);
       ASSERT_NEAR(state->Score(), full, kTol)
@@ -155,7 +162,17 @@ TEST(DeltaEvalTest, DbrlMatchesFullEvaluation) {
 }
 
 TEST(DeltaEvalTest, PrlMatchesFullEvaluation) {
-  RunMeasureSequence(ProbabilisticRecordLinkage(20), 16, 60, 6);
+  // Every PRL refit runs the cold EM fit on the current counts, so the walk
+  // carries no model from one step to the next: at a short and a long sweep
+  // budget, one-cell and small-segment steps leave the state bitwise equal
+  // to a fresh bind (checked by RunMeasureSequence after every step).
+  for (int em_iterations : {10, 200}) {
+    for (int max_cells : {1, 6}) {
+      RunMeasureSequence(ProbabilisticRecordLinkage(em_iterations), 16, 60,
+                         max_cells, /*force_rebuilds=*/false,
+                         MakeWorld(16, /*rows=*/100));
+    }
+  }
 }
 
 TEST(DeltaEvalTest, RsrlMatchesFullEvaluation) {

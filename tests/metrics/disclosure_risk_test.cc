@@ -11,6 +11,7 @@
 #include "metrics/dbrl.h"
 #include "metrics/interval_disclosure.h"
 #include "metrics/prl.h"
+#include "metrics/registry.h"
 #include "metrics/rsrl.h"
 #include "protection/pram.h"
 #include "protection/rank_swapping.h"
@@ -148,11 +149,16 @@ TEST(IntervalDisclosureTest, WiderWindowMoreDisclosure) {
 }
 
 TEST(IntervalDisclosureTest, RejectsBadWindow) {
-  Dataset original = TestData();
-  EXPECT_FALSE(
-      IntervalDisclosure(0.0).Compute(original, original.Clone(), {0}).ok());
-  EXPECT_FALSE(
-      IntervalDisclosure(150.0).Compute(original, original.Clone(), {0}).ok());
+  for (const char* window : {"0", "-5", "150"}) {
+    auto id =
+        MeasureRegistry::Global().Create("ID", {{"window_percent", window}});
+    ASSERT_FALSE(id.ok()) << window;
+    EXPECT_NE(id.status().message().find("ID.window_percent"),
+              std::string::npos)
+        << id.status().ToString();
+  }
+  EXPECT_TRUE(
+      MeasureRegistry::Global().Create("ID", {{"window_percent", "100"}}).ok());
 }
 
 TEST(IntervalDisclosureTest, UniformCategoryShiftPreservesRanks) {
@@ -243,83 +249,25 @@ TEST(FellegiSunterTest, FixedPointEarlyExitPreservesTheModel) {
   EXPECT_EQ(converged.match_prevalence, longer.match_prevalence);
 }
 
-TEST(FellegiSunterTest, WarmStartMatchesColdOracleOnSmallDeltas) {
-  // Warm-start oracle: fit cold, shift a few pattern counts (one changed
-  // masked cell moves one histogram unit per record), refit warm from the
-  // previous model and cold from scratch. The warm path must converge
-  // within its sweep budget to an exactly self-consistent model (idempotent
-  // under a further warm refit) on the same convergence plateau as the cold
-  // fit — near the solution each EM sweep moves the parameters by less than
-  // one ulp, so both trajectories freeze on a plateau ~1e-4 wide and exact
-  // equality holds plane-vs-plane (identical carried models), not
-  // warm-vs-cold.
-  std::vector<std::pair<uint32_t, double>> counts{
-      {0b00, 9500.0}, {0b01, 250.0}, {0b10, 150.0}, {0b11, 100.0}};
-  auto previous = FitFellegiSunter(counts, 2, 200);
-
-  std::vector<std::pair<uint32_t, double>> shifted{
-      {0b00, 9498.0}, {0b01, 251.0}, {0b10, 150.0}, {0b11, 101.0}};
-  auto oracle = FitFellegiSunter(shifted, 2, 200);
-  bool warm_hit = false;
-  auto warm = FitFellegiSunterWarm(shifted, 2, 200, previous, &warm_hit);
-  ASSERT_TRUE(warm_hit);
-  for (size_t k = 0; k < warm.m.size(); ++k) {
-    EXPECT_NEAR(warm.m[k], oracle.m[k], 2e-4);
-    EXPECT_NEAR(warm.u[k], oracle.u[k], 2e-4);
-  }
-  EXPECT_NEAR(warm.match_prevalence, oracle.match_prevalence, 2e-4);
-  // The models must induce the same linkage behavior: identical weight
-  // ordering over the whole pattern space (ties are decided at 1e-12, far
-  // below the weight gaps here).
-  for (uint32_t p = 0; p < 4; ++p) {
-    for (uint32_t q = 0; q < 4; ++q) {
-      EXPECT_EQ(warm.PatternWeight(p) > warm.PatternWeight(q),
-                oracle.PatternWeight(p) > oracle.PatternWeight(q))
-          << p << " vs " << q;
-    }
-  }
-
-  // Idempotence: a warm hit is an exact fixed point, so refitting from it
-  // converges in the first sweep to the identical model.
-  bool again_hit = false;
-  auto again = FitFellegiSunterWarm(shifted, 2, 200, warm, &again_hit);
-  EXPECT_TRUE(again_hit);
-  EXPECT_EQ(again.m, warm.m);
-  EXPECT_EQ(again.u, warm.u);
-  EXPECT_EQ(again.match_prevalence, warm.match_prevalence);
-}
-
-TEST(FellegiSunterTest, WarmStartFallsBackToColdArithmetic) {
-  std::vector<std::pair<uint32_t, double>> counts{
-      {0b00, 9500.0}, {0b01, 250.0}, {0b10, 150.0}, {0b11, 100.0}};
-  auto oracle = FitFellegiSunter(counts, 2, 200);
-  // Wrong arity: the warm model cannot seed a 2-attribute fit.
-  FellegiSunterModel mismatched;
-  mismatched.m = {0.5};
-  mismatched.u = {0.5};
-  mismatched.match_prevalence = 0.5;
-  bool warm_hit = true;
-  auto fallback = FitFellegiSunterWarm(counts, 2, 200, mismatched, &warm_hit);
-  EXPECT_FALSE(warm_hit);
-  EXPECT_EQ(fallback.m, oracle.m);
-  EXPECT_EQ(fallback.u, oracle.u);
-  EXPECT_EQ(fallback.match_prevalence, oracle.match_prevalence);
-  // Tiny sweep budgets (below the cold trajectory's own convergence) must
-  // keep the exact cold arithmetic rather than chase a fixed point.
-  bool small_hit = true;
-  auto small_budget = FitFellegiSunterWarm(counts, 2, 2, oracle, &small_hit);
-  auto small_cold = FitFellegiSunter(counts, 2, 2);
-  EXPECT_FALSE(small_hit);
-  EXPECT_EQ(small_budget.m, small_cold.m);
-  EXPECT_EQ(small_budget.u, small_cold.u);
-  EXPECT_EQ(small_budget.match_prevalence, small_cold.match_prevalence);
-}
-
 TEST(PrlTest, RejectsBadConfig) {
-  Dataset original = TestData();
-  EXPECT_FALSE(ProbabilisticRecordLinkage(0)
-                   .Compute(original, original.Clone(), {0})
-                   .ok());
+  for (const char* iterations : {"0", "-3"}) {
+    auto prl = MeasureRegistry::Global().Create(
+        "PRL", {{"em_iterations", iterations}});
+    ASSERT_FALSE(prl.ok()) << iterations;
+    EXPECT_NE(prl.status().message().find("PRL.em_iterations"),
+              std::string::npos)
+        << prl.status().ToString();
+  }
+  // The agreement-pattern cap depends on the data, so Bind keeps it.
+  std::vector<TestAttr> wide;
+  std::vector<int32_t> row;
+  for (int k = 0; k < 21; ++k) {
+    wide.push_back({"a" + std::to_string(k), AttrKind::kNominal, 2});
+    row.push_back(k % 2);
+  }
+  Dataset original = BuildDataset(wide, {row, row});
+  auto prl = MeasureRegistry::Global().Create("PRL").ValueOrDie();
+  EXPECT_FALSE(prl->Bind(original, AllAttrs(original)).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -360,10 +308,17 @@ TEST(RsrlTest, TinyWindowEliminatesFarCandidates) {
 }
 
 TEST(RsrlTest, RejectsBadAssumedP) {
-  Dataset original = TestData();
-  EXPECT_FALSE(RankSwappingRecordLinkage(0.0)
-                   .Compute(original, original.Clone(), {0})
-                   .ok());
+  for (const char* p : {"0", "100.5"}) {
+    auto rsrl =
+        MeasureRegistry::Global().Create("RSRL", {{"assumed_p_percent", p}});
+    ASSERT_FALSE(rsrl.ok()) << p;
+    EXPECT_NE(rsrl.status().message().find("RSRL.assumed_p_percent"),
+              std::string::npos)
+        << rsrl.status().ToString();
+  }
+  EXPECT_TRUE(MeasureRegistry::Global()
+                  .Create("RSRL", {{"assumed_p_percent", "100"}})
+                  .ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "metrics/dbil.h"
 #include "metrics/distance.h"
 #include "metrics/ebil.h"
+#include "metrics/registry.h"
 #include "protection/pram.h"
 
 namespace evocat {
@@ -153,8 +154,14 @@ TEST(CtbIlTest, SingleCellChangeScoresExactly) {
 }
 
 TEST(CtbIlTest, RejectsBadDimension) {
-  Dataset original = TestData();
-  EXPECT_FALSE(CtbIl(0).Compute(original, original, {0}).ok());
+  auto zero =
+      MeasureRegistry::Global().Create("CTBIL", {{"max_dimension", "0"}});
+  ASSERT_FALSE(zero.ok());
+  EXPECT_NE(zero.status().message().find("CTBIL.max_dimension"),
+            std::string::npos)
+      << zero.status().ToString();
+  EXPECT_TRUE(
+      MeasureRegistry::Global().Create("CTBIL", {{"max_dimension", "1"}}).ok());
 }
 
 TEST(CtbIlTest, DimensionCapStopsAtAvailableAttrs) {

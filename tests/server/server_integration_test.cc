@@ -132,6 +132,13 @@ TEST(ServerRoutingTest, SubmitValidationNamesFieldAndPosition) {
   EXPECT_EQ(bad_field.status, 400);
   EXPECT_NE(bad_field.body.find("ga.mutation_rate"), std::string::npos)
       << bad_field.body;
+
+  // Measure parameter ranges are checked at submit, not when the job binds.
+  HttpResponse bad_measure = daemon.server.Handle(
+      Post("/v1/jobs", "{\"measures\": {\"prl_em_iterations\": 0}}"));
+  EXPECT_EQ(bad_measure.status, 400);
+  EXPECT_NE(bad_measure.body.find("PRL.em_iterations"), std::string::npos)
+      << bad_measure.body;
 }
 
 TEST(ServerIntegrationTest, SubmitPollFetchRoundTrip) {
