@@ -30,7 +30,8 @@
 //   speedup gates, which assume benchmark-sized inputs).
 //   --scale adds the 100k- and 1M-row scenarios (`scale_100k`, `scale_1m`:
 //   each measure's single-cell delta vs a forced rebuild of the same state,
-//   bit-exact scores required).
+//   then a 2% and a 10% two-point crossover leg applied and reverted on the
+//   measure's own path and on a forced rebuild; bit-exact scores required).
 
 #include <algorithm>
 #include <cmath>
@@ -168,11 +169,20 @@ struct ScaleResult {
   double max_abs_diff = 0.0;
 };
 
-/// The scale scenario: the same single-cell mutation walk timed on each
-/// measure's incremental path and on a forced rebuild of the same state
-/// (threshold pinned to one cell, so every apply recomputes from scratch).
-/// Scores must agree *exactly* (diff == 0): the rebuild is the state's own
-/// from-scratch build, so any difference is a delta-path bug.
+/// One crossover leg of the scale scenario: a two-point segment covering
+/// `percent`% of the genome, swapped in from a donor file.
+struct ScaleLeg {
+  int percent;
+  int64_t first;
+  int64_t last;
+};
+
+/// The scale scenario: the same single-cell mutation walk and the same
+/// crossover legs, timed on each measure's incremental path (its own cost
+/// model) and on a forced rebuild of the same state (threshold pinned to
+/// one cell, so every apply recomputes from scratch). Scores must agree
+/// *exactly* (diff == 0): the rebuild is the state's own from-scratch
+/// build, so any difference is a delta-path bug.
 ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
   auto profile = datagen::AdultProfile();
   profile.num_records = rows;
@@ -183,13 +193,33 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
   Dataset masked =
       protection::Pram(0.5).Protect(original, attrs, &rng).ValueOrDie();
   auto steps = DrawMutations(masked, attrs, num_steps, 0x5CA1E);
+  Rng donor_rng(406);
+  Dataset donor =
+      protection::Pram(0.5).Protect(original, attrs, &donor_rng).ValueOrDie();
+  core::GenomeLayout layout(attrs, rows);
+  const int64_t genome = layout.Length();
+  std::vector<ScaleLeg> legs;
+  Rng leg_rng(407);
+  for (int percent : {2, 10}) {
+    int64_t length = genome * percent / 100;
+    auto first =
+        static_cast<int64_t>(leg_rng.UniformInt(0, genome - length));
+    legs.push_back(ScaleLeg{percent, first, first + length - 1});
+  }
 
-  /// Times apply + score + revert over the walk with the state's rebuild
-  /// threshold pinned to `threshold` cells (0 = the measure's cost model)
-  /// and collects the per-step scores.
-  auto run_path = [&](const metrics::BoundMeasure& bound, int64_t threshold,
-                      std::vector<double>* scores) {
+  struct PathRun {
+    double step_seconds = 0.0;        ///< mean apply + score + revert
+    std::vector<double> scores;       ///< walk steps, then legs
+    std::vector<double> leg_seconds;  ///< apply + score + revert per leg
+    std::vector<int64_t> leg_cells;
+    std::vector<bool> leg_rebuilt;
+  };
+  /// Runs the walk, then the legs, on one state whose rebuild threshold is
+  /// pinned to `threshold` cells (0 = the measure's cost model).
+  auto run_path = [&](const metrics::BoundMeasure& bound, int64_t threshold) {
+    PathRun run;
     auto state = bound.BindState(masked);
+    state->set_total_protected_cells(genome);
     state->set_full_rebuild_threshold(threshold);
     double elapsed = 0.0;
     for (const MutationStep& step : steps) {
@@ -199,12 +229,27 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
           {step.row, step.attr, old_code, step.new_code}};
       Timer timer;
       state->ApplySegment(masked, metrics::SegmentDelta::FromCells(deltas));
-      scores->push_back(state->Score());
+      run.scores.push_back(state->Score());
       state->RevertSegment();
       elapsed += timer.ElapsedSeconds();
       masked.SetCode(step.row, step.attr, old_code);
     }
-    return elapsed / static_cast<double>(steps.size());
+    run.step_seconds = elapsed / static_cast<double>(steps.size());
+    for (const ScaleLeg& leg : legs) {
+      auto segment = core::CrossoverSegmentSwap(layout, donor, &masked,
+                                                leg.first, leg.last);
+      Timer timer;
+      state->ApplySegment(masked, segment);
+      run.scores.push_back(state->Score());
+      run.leg_rebuilt.push_back(state->rebuilt());
+      state->RevertSegment();
+      run.leg_seconds.push_back(timer.ElapsedSeconds());
+      run.leg_cells.push_back(segment.num_cells());
+      for (const metrics::CellDelta& cell : segment.cells()) {
+        masked.SetCode(cell.row, cell.attr, cell.old_code);
+      }
+    }
+    return run;
   };
 
   ScaleResult result;
@@ -212,27 +257,58 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
   std::printf("scale_measure,rebuild_ms,delta_ms,speedup,max_abs_diff\n");
   bench::JsonObject measures_json;
   double rebuild_total = 0.0, delta_total = 0.0;
+  std::vector<std::string> leg_lines;
   for (const auto& [name, measure] : ScaleMeasures()) {
     auto bound = std::move(measure->Bind(original, attrs)).ValueOrDie();
-    std::vector<double> rebuild_scores, delta_scores;
-    double rebuild_s = run_path(*bound, /*threshold=*/1, &rebuild_scores);
-    double delta_s = run_path(*bound, /*threshold=*/0, &delta_scores);
+    PathRun rebuild = run_path(*bound, /*threshold=*/1);
+    PathRun delta = run_path(*bound, /*threshold=*/0);
     double diff = 0.0;
-    for (size_t i = 0; i < rebuild_scores.size(); ++i) {
-      diff = std::max(diff, std::fabs(rebuild_scores[i] - delta_scores[i]));
+    for (size_t i = 0; i < rebuild.scores.size(); ++i) {
+      diff = std::max(diff, std::fabs(rebuild.scores[i] - delta.scores[i]));
     }
     result.max_abs_diff = std::max(result.max_abs_diff, diff);
-    rebuild_total += rebuild_s;
-    delta_total += delta_s;
-    double speedup = delta_s > 0 ? rebuild_s / delta_s : 0.0;
-    std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(), rebuild_s * 1e3,
-                delta_s * 1e3, speedup, diff);
+    rebuild_total += rebuild.step_seconds;
+    delta_total += delta.step_seconds;
+    double speedup =
+        delta.step_seconds > 0 ? rebuild.step_seconds / delta.step_seconds
+                               : 0.0;
+    std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(),
+                rebuild.step_seconds * 1e3, delta.step_seconds * 1e3, speedup,
+                diff);
     bench::JsonObject one;
-    one.Add("rebuild_eval_seconds", rebuild_s)
-        .Add("delta_eval_seconds", delta_s)
+    one.Add("rebuild_eval_seconds", rebuild.step_seconds)
+        .Add("delta_eval_seconds", delta.step_seconds)
         .Add("speedup", speedup)
         .Add("max_abs_diff", diff);
+    bench::JsonObject legs_json;
+    for (size_t l = 0; l < legs.size(); ++l) {
+      size_t score = steps.size() + l;
+      double leg_diff =
+          std::fabs(rebuild.scores[score] - delta.scores[score]);
+      char line[256];
+      std::snprintf(line, sizeof(line), "%s,%d%%,%lld,%.3f,%.3f,%s,%.3g",
+                    name.c_str(), legs[l].percent,
+                    static_cast<long long>(delta.leg_cells[l]),
+                    rebuild.leg_seconds[l] * 1e3, delta.leg_seconds[l] * 1e3,
+                    delta.leg_rebuilt[l] ? "rebuild" : "delta", leg_diff);
+      leg_lines.push_back(line);
+      bench::JsonObject leg_json;
+      leg_json.Add("cells", delta.leg_cells[l])
+          .Add("rebuild_eval_seconds", rebuild.leg_seconds[l])
+          .Add("own_path_eval_seconds", delta.leg_seconds[l])
+          .Add("own_path", std::string(delta.leg_rebuilt[l] ? "rebuild"
+                                                            : "delta"))
+          .Add("max_abs_diff", leg_diff);
+      legs_json.Add("leg_" + std::to_string(legs[l].percent) + "pct",
+                    leg_json);
+    }
+    one.Add("legs", legs_json);
     measures_json.Add(name, one);
+  }
+  std::printf("scale_leg,measure,leg,cells,rebuild_ms,own_path_ms,own_path,"
+              "max_abs_diff\n");
+  for (const std::string& line : leg_lines) {
+    std::printf("scale_leg,%s\n", line.c_str());
   }
   double speedup = delta_total > 0 ? rebuild_total / delta_total : 0.0;
   std::printf("scale_aggregate,rows=%lld,rebuild_ms=%.3f,delta_ms=%.3f,"

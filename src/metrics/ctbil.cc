@@ -96,13 +96,11 @@ class CtbIlState : public MeasureState {
     undo_cells_.clear();
     undo_l1_ = core_.l1;
     undo_score_ = core_.score;
-    if (segment.num_cells() >= full_rebuild_threshold()) {
+    if (ReachesThreshold(segment)) {
       backup_tables_ = core_.tables;
-      reverted_by_backup_ = true;
       InitFrom(masked_after);
       return;
     }
-    reverted_by_backup_ = false;
 
     const auto& subsets = bound_->subsets();
     std::vector<int32_t> codes;
@@ -138,7 +136,7 @@ class CtbIlState : public MeasureState {
   }
 
   void RevertSegment() override {
-    if (reverted_by_backup_) {
+    if (rebuilt()) {
       core_.tables = backup_tables_;
     } else {
       // Walk the log backwards restoring the first-recorded counts.
@@ -238,7 +236,6 @@ class CtbIlState : public MeasureState {
   std::vector<UndoCell> undo_cells_;
   std::vector<int64_t> undo_l1_;
   double undo_score_ = 0.0;
-  bool reverted_by_backup_ = false;
   std::vector<std::unordered_map<uint64_t, int64_t>> backup_tables_;
 };
 

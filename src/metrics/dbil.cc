@@ -96,7 +96,7 @@ class DbIlState : public MeasureState {
   void ApplySegment(const Dataset& masked_after,
                     const SegmentDelta& segment) override {
     backup_ = core_;
-    if (segment.num_cells() >= full_rebuild_threshold()) {
+    if (ReachesThreshold(segment)) {
       InitFrom(masked_after);
       return;
     }

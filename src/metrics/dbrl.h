@@ -7,6 +7,11 @@
 /// 1/|argmin| — the attacker picking uniformly among equally near candidates.
 /// DBRL is the expected percentage of correct re-identifications; identity
 /// masking of a duplicate-free file gives 100.
+///
+/// DBRL is RSRL's attack (rsrl.h) without the rank window: RSRL at
+/// `assumed_p_percent` 100 admits every pair and scores the same, bit for
+/// bit. Both measures bind one incremental state, with and without the
+/// window filter (distance_linkage.cc).
 
 #ifndef EVOCAT_METRICS_DBRL_H_
 #define EVOCAT_METRICS_DBRL_H_

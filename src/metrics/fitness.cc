@@ -39,8 +39,7 @@ obs::Counter* RebuildFallbackCounter(size_t index) {
     for (const FitnessMeasure& measure : FitnessMeasures()) {
       out.push_back(obs::MetricsRegistry::Global().GetCounter(
           "evocat_rebuild_fallbacks_total",
-          "Segment applies that crossed a measure's full-rebuild threshold "
-          "(the incremental path degenerated to a rebuild).",
+          "Segment applies that recomputed a measure's state from scratch.",
           {{"measure", measure.key}}));
     }
     return out;
@@ -226,32 +225,30 @@ void FitnessState::ApplyDelta(const Dataset& masked_after,
   // Heavy segments evaluate the independent measures concurrently (disjoint
   // states, fixed fold order ⇒ schedule-independent results); small
   // deltas stay serial — the per-measure updates are then cheaper than the
-  // fork/join would be. The rebuild-fallback counters (telemetry only) name
-  // the measures that will treat this batch as a full rebuild: the same
-  // comparison the states make inside ApplySegment.
+  // fork/join would be. A batch that reaches any state's rebuild threshold
+  // counts as heavy. The rebuild-fallback counters (telemetry only) count
+  // the rebuilds the states report taking, guards included.
   const int64_t cells = segment.num_cells();
   bool heavy = cells >= parallel_segment_cells_;
+  for (const auto& state : states_) {
+    heavy = heavy || cells >= state->full_rebuild_threshold();
+  }
   const bool count_fallbacks = obs::MetricsEnabled();
-  for (size_t i = 0; i < states_.size(); ++i) {
-    if (cells < states_[i]->full_rebuild_threshold()) continue;
-    heavy = true;
-    if (count_fallbacks) {
+  auto apply = [&](size_t i) {
+    states_[i]->ApplySegment(masked_after, segment);
+    if (count_fallbacks && states_[i]->rebuilt()) {
       RebuildFallbackCounter(evaluator_->slots_[i].index)->Increment();
     }
-  }
+  };
   auto cancelled = [cancel] {
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
   };
   if (heavy && states_.size() > 1) {
     ParallelFor(0, static_cast<int64_t>(states_.size()), [&](int64_t i) {
-      if (cancelled()) return;
-      states_[static_cast<size_t>(i)]->ApplySegment(masked_after, segment);
+      if (!cancelled()) apply(static_cast<size_t>(i));
     });
   } else {
-    for (const auto& state : states_) {
-      if (cancelled()) break;
-      state->ApplySegment(masked_after, segment);
-    }
+    for (size_t i = 0; i < states_.size() && !cancelled(); ++i) apply(i);
   }
   breakdown_ =
       evaluator_->Fold([this](size_t i) { return states_[i]->Score(); });

@@ -264,13 +264,29 @@ class MeasureState {
     return cells < 1 ? 1 : cells;
   }
 
+  /// \brief Whether the most recent ApplySegment recomputed from scratch:
+  /// at the threshold, or on a guard of the state's own (RSRL rebuilds when
+  /// flipped rank-window blocks cover too many pairs).
+  bool rebuilt() const { return rebuilt_; }
+
  protected:
   /// \param rebuild_fraction the measure's cost-model constant.
   explicit MeasureState(double rebuild_fraction)
       : rebuild_fraction_(rebuild_fraction) {}
 
+  /// \brief Whether `segment` reaches the rebuild threshold, recorded as
+  /// the current apply's path; every ApplySegment asks this first.
+  bool ReachesThreshold(const SegmentDelta& segment) {
+    rebuilt_ = segment.num_cells() >= full_rebuild_threshold();
+    return rebuilt_;
+  }
+
+  /// \brief Records a rebuild the state takes on its own guard.
+  void MarkRebuilt() { rebuilt_ = true; }
+
  private:
   const double rebuild_fraction_;
+  bool rebuilt_ = false;
   int64_t total_protected_cells_ = 0;
   int64_t explicit_threshold_cells_ = 0;
 };

@@ -271,9 +271,7 @@ class ClusteredPrlState : public MeasureState {
     undo_.score = score_;
     undo_.shifts.clear();
     undo_.p_self.clear();
-    undo_.rebuilt = false;
-    if (segment.num_cells() >= full_rebuild_threshold()) {
-      undo_.rebuilt = true;
+    if (ReachesThreshold(segment)) {
       undo_.hist_backup = cluster_hist_;
       undo_.p_self_backup = p_self_;
       InitFrom(masked_after);
@@ -346,7 +344,7 @@ class ClusteredPrlState : public MeasureState {
   }
 
   void RevertSegment() override {
-    if (undo_.rebuilt) {
+    if (rebuilt()) {
       cluster_hist_ = undo_.hist_backup;
       p_self_ = undo_.p_self_backup;
     } else {
@@ -390,7 +388,6 @@ class ClusteredPrlState : public MeasureState {
     double score = 0.0;
     std::vector<Shift> shifts;
     std::vector<PselfUndo> p_self;
-    bool rebuilt = false;
     std::vector<std::vector<PatternCount>> hist_backup;
     std::vector<uint32_t> p_self_backup;
   };

@@ -9,6 +9,12 @@
 /// candidate-set intersection across attributes is what makes this attack
 /// sharper than plain distance-based linkage on rank-swapped files. Records
 /// with an empty candidate set are unlinkable (no credit).
+///
+/// Without the window this is DBRL (dbrl.h): mid-ranks of non-empty
+/// categories lie in [1, n], so at `assumed_p_percent` 100 every pair is a
+/// candidate and the two scores agree bit for bit. Both measures bind one
+/// incremental state, with and without the window filter
+/// (distance_linkage.cc).
 
 #ifndef EVOCAT_METRICS_RSRL_H_
 #define EVOCAT_METRICS_RSRL_H_

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -179,6 +180,67 @@ TEST(DeltaEvalTest, RsrlMatchesFullEvaluation) {
   RunMeasureSequence(RankSwappingRecordLinkage(15.0), 17, 120, 6);
 }
 
+TEST(DeltaEvalTest, DbrlIsRsrlWithFullWindow) {
+  // Mid-ranks of non-empty categories lie in [1, n], so RSRL's window at
+  // p = 100% (n ranks) admits every pair and RSRL is DBRL. Both oracles and
+  // both states must then agree bit for bit: at bind, after every 1-6 cell
+  // batch and its revert, and on a rebuild-sized crossover leg and its
+  // revert.
+  World small = MakeWorld(35, /*rows=*/120);
+  evocat::testing::ScaleWorld adult =
+      evocat::testing::MakeScaleWorld(1000, 36);
+  std::vector<World> worlds;
+  worlds.push_back(std::move(small));
+  worlds.push_back(World{std::move(adult.original), std::move(adult.masked),
+                         std::move(adult.attrs)});
+  for (World& world : worlds) {
+    int64_t n = world.original.num_rows();
+    auto dbrl = std::move(DistanceBasedRecordLinkage().Bind(world.original,
+                                                            world.attrs))
+                    .ValueOrDie();
+    auto rsrl = std::move(RankSwappingRecordLinkage(100.0).Bind(
+                              world.original, world.attrs))
+                    .ValueOrDie();
+    Dataset masked = world.masked.Clone();
+    ASSERT_EQ(dbrl->Compute(masked), rsrl->Compute(masked)) << n << " rows";
+    auto dbrl_state = dbrl->BindState(masked);
+    auto rsrl_state = rsrl->BindState(masked);
+    ASSERT_EQ(dbrl_state->Score(), rsrl_state->Score()) << n << " rows, bind";
+    Rng rng(37);
+    for (int step = 0; step < 40; ++step) {
+      Dataset before = masked.Clone();
+      auto batch = RandomBatch(&masked, world.attrs, &rng, 6);
+      dbrl_state->ApplySegment(masked, batch);
+      rsrl_state->ApplySegment(masked, batch);
+      ASSERT_EQ(dbrl_state->Score(), rsrl_state->Score())
+          << n << " rows, step " << step;
+      if (step % 3 == 2) {
+        dbrl_state->RevertSegment();
+        rsrl_state->RevertSegment();
+        ASSERT_EQ(dbrl_state->Score(), rsrl_state->Score())
+            << n << " rows, revert at step " << step;
+        masked = std::move(before);
+      }
+    }
+    Rng donor_rng(38);
+    Dataset donor = protection::Pram(0.4)
+                        .Protect(world.original, world.attrs, &donor_rng)
+                        .ValueOrDie();
+    core::GenomeLayout layout(world.attrs, n);
+    int64_t length = layout.Length() * 6 / 10;
+    auto leg = core::CrossoverSegmentSwap(layout, donor, &masked, 0,
+                                          length - 1);
+    dbrl_state->ApplySegment(masked, leg);
+    rsrl_state->ApplySegment(masked, leg);
+    ASSERT_EQ(dbrl_state->Score(), rsrl_state->Score()) << n << " rows, leg";
+    EXPECT_EQ(dbrl->Compute(masked), rsrl->Compute(masked)) << n << " rows";
+    dbrl_state->RevertSegment();
+    rsrl_state->RevertSegment();
+    ASSERT_EQ(dbrl_state->Score(), rsrl_state->Score())
+        << n << " rows, leg revert";
+  }
+}
+
 TEST(DeltaEvalTest, WideBatchesTriggerRebuildAndStayExact) {
   // Batches regularly exceeding the rebuild threshold take the fallback
   // path; scores must stay exact and revertible either way.
@@ -340,6 +402,49 @@ TEST(DeltaEvalTest, FitnessStateRebuildSizedSegmentsMatchAndRevert) {
   for (size_t i = 0; i < linkage.size(); ++i) {
     EXPECT_GT(fallbacks(linkage[i]), fallbacks_before[i])
         << linkage[i] << " never took its full-rebuild path";
+  }
+}
+
+TEST(DeltaEvalTest, RebuildFallbacksCountGuardRebuilds) {
+  // One cell in every fifth row: 1/15 of the protected cells, below every
+  // rebuild threshold (RSRL's 0.12 is the lowest), yet more than n/8 rows,
+  // which trips RSRL's n²/8 pair-coverage guard. The fallback counter counts
+  // the rebuilds the states take, so the rsrl series moves by exactly one
+  // and no other series moves.
+  World world = MakeWorld(85, /*rows=*/120);
+  FitnessEvaluator::Options options;
+  options.prl_em_iterations = 10;
+  auto evaluator =
+      std::move(FitnessEvaluator::Create(world.original, world.attrs, options))
+          .ValueOrDie();
+  auto state = evaluator->BindState(world.masked);
+  auto fallbacks = [](const char* key) {
+    return obs::MetricsRegistry::Global().CounterValue(
+        "evocat_rebuild_fallbacks_total", {{"measure", key}});
+  };
+  std::vector<int64_t> before;
+  for (const FitnessMeasure& measure : FitnessMeasures()) {
+    before.push_back(fallbacks(measure.key));
+  }
+
+  std::vector<CellDelta> cells;
+  for (int64_t row = 0; row < world.masked.num_rows(); row += 5) {
+    int attr = world.attrs[static_cast<size_t>(row) % world.attrs.size()];
+    int32_t card = world.masked.schema().attribute(attr).cardinality();
+    int32_t old_code = world.masked.Code(row, attr);
+    int32_t new_code = (old_code + 1) % card;
+    world.masked.SetCode(row, attr, new_code);
+    cells.push_back(CellDelta{row, attr, old_code, new_code});
+  }
+  state->ApplyDelta(world.masked, SegmentDelta::FromCells(cells));
+  ASSERT_NEAR(state->breakdown().score,
+              evaluator->Evaluate(world.masked).score, kTol);
+
+  const std::vector<FitnessMeasure>& table = FitnessMeasures();
+  for (size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(fallbacks(table[i].key) - before[i],
+              std::string(table[i].key) == "rsrl" ? 1 : 0)
+        << table[i].key;
   }
 }
 
