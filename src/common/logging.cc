@@ -45,7 +45,9 @@ std::string IsoTimestamp() {
                 1000;
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  char buf[40];
+  // Worst case: seven fields of 11 characters (any int) plus 7 separators
+  // and the terminator, 85 bytes.
+  char buf[88];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, static_cast<int>(millis));
@@ -85,8 +87,6 @@ ScopedLogJobId::ScopedLogJobId(std::string job_id)
 ScopedLogJobId::~ScopedLogJobId() { t_job_id = std::move(previous_); }
 
 namespace internal {
-
-const std::string& CurrentLogJobId() { return t_job_id; }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level), file_(file), line_(line) {}

@@ -47,10 +47,6 @@ class ScopedLogJobId {
 
 namespace internal {
 
-/// \brief The job id set by the innermost `ScopedLogJobId` on this thread
-/// (empty when none).
-const std::string& CurrentLogJobId();
-
 /// \brief Accumulates one log line and flushes it on destruction.
 class LogMessage {
  public:

@@ -19,10 +19,6 @@ double Entropy(const std::vector<double>& probs) {
   return h;
 }
 
-double EntropyFromCounts(const std::vector<double>& counts) {
-  return Entropy(counts);
-}
-
 double Mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;

@@ -15,9 +15,6 @@ namespace evocat {
 /// empty or all-zero input.
 double Entropy(const std::vector<double>& probs);
 
-/// \brief Entropy (bits) of the normalized histogram of `counts`.
-double EntropyFromCounts(const std::vector<double>& counts);
-
 /// \brief Arithmetic mean; 0 for empty input.
 double Mean(const std::vector<double>& xs);
 

@@ -78,7 +78,7 @@ class Result {
 
 /// \brief Assigns the value of a `Result` expression or propagates its error.
 ///
-/// Usage: `EVOCAT_ASSIGN_OR_RETURN(auto ds, Dataset::FromCsv(path));`
+/// Usage: `EVOCAT_ASSIGN_OR_RETURN(auto ds, ReadCsvFile(path));`
 #define EVOCAT_ASSIGN_OR_RETURN_IMPL(tmp, lhs, rexpr) \
   auto tmp = (rexpr);                                 \
   if (!tmp.ok()) return tmp.status();                 \

@@ -83,14 +83,6 @@ struct RowDelta {
     }
     return masked_after.Code(row, attr);
   }
-
-  /// \brief Whether `attr` changed in this row.
-  bool Touches(int attr) const {
-    for (const CellDelta& cell : cells) {
-      if (cell.attr == attr) return true;
-    }
-    return false;
-  }
 };
 
 /// \brief A segment batch: the flat cell deltas of one operator application
@@ -156,12 +148,6 @@ class SegmentDelta {
   /// consecutively (flat gene order) — a row seen earlier must not reappear.
   void Append(int64_t row, int attr, int32_t old_code, int32_t new_code);
 
-  /// \brief Pre-sizes the flat storage (operators know their segment size).
-  void Reserve(size_t num_cells, size_t num_rows) {
-    cells_.reserve(num_cells);
-    groups_.reserve(num_rows);
-  }
-
   void clear() {
     cells_.clear();
     groups_.clear();
@@ -222,9 +208,12 @@ class SegmentDelta {
 ///    docs/perf.md).
 ///
 /// `RevertSegment` undoes exactly one `ApplySegment` (one level deep).
-/// States never retain a pointer to the masked dataset — every call passes
-/// the current file — so they survive the copy-on-write dataset reshuffling
-/// the engine performs when offspring replace parents.
+/// After every apply and every revert, the score equals that of a state
+/// freshly bound to the current file, bit for bit: a score is a function of
+/// the file, not of the walk that reached it (`delta_eval_test` checks this
+/// after each step). States never retain a pointer to the masked dataset —
+/// every call passes the current file — so they survive the copy-on-write
+/// dataset reshuffling the engine performs when offspring replace parents.
 class MeasureState {
  public:
   virtual ~MeasureState() = default;

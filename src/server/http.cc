@@ -539,12 +539,6 @@ Result<HttpConnection> HttpConnection::ConnectTcp(const std::string& host,
   return HttpConnection(fd);
 }
 
-Result<HttpConnection> HttpConnection::ConnectUnix(
-    const std::string& socket_path) {
-  EVOCAT_ASSIGN_OR_RETURN(int fd, ConnectUnixFd(socket_path));
-  return HttpConnection(fd);
-}
-
 HttpConnection::~HttpConnection() { Close(); }
 
 HttpConnection::HttpConnection(HttpConnection&& other) noexcept

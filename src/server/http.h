@@ -118,9 +118,8 @@ Status WriteHttpResponse(int fd, const HttpResponse& response);
 /// (keep-alive). Move-only; closes on destruction.
 class HttpConnection {
  public:
-  /// \brief Connects over TCP (IPv4 dotted quad) / a Unix-domain socket.
+  /// \brief Connects over TCP (IPv4 dotted quad).
   static Result<HttpConnection> ConnectTcp(const std::string& host, int port);
-  static Result<HttpConnection> ConnectUnix(const std::string& socket_path);
 
   HttpConnection() = default;
   ~HttpConnection();

@@ -31,7 +31,7 @@ TEST(EntropyTest, KnownBiasedCoin) {
 }
 
 TEST(EntropyTest, FromCountsMatchesProbabilities) {
-  EXPECT_NEAR(EntropyFromCounts({30, 10}), Entropy({0.75, 0.25}), 1e-12);
+  EXPECT_NEAR(Entropy({30, 10}), Entropy({0.75, 0.25}), 1e-12);
 }
 
 TEST(MeanTest, Basics) {

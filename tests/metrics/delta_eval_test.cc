@@ -110,6 +110,7 @@ void RunMeasureSequence(const Measure& measure, uint64_t seed, int steps,
       << measure.Name() << " initial";
 
   Rng rng(seed + 17);
+  Rng probe_rng(seed + 29);
   for (int step = 0; step < steps; ++step) {
     double score_before = state->Score();
     Dataset before = world.masked.Clone();
@@ -123,7 +124,9 @@ void RunMeasureSequence(const Measure& measure, uint64_t seed, int steps,
         << measure.Name() << " walk differs from a fresh bind at step " << step;
 
     // Every fourth batch: revert both the state and the file, confirm the
-    // state rewinds exactly, then re-apply so the walk keeps moving.
+    // state rewinds exactly, take one one-cell step from the reverted state
+    // (a delta step, so it reads whatever the revert restored, also after a
+    // reverted rebuild) and undo it, then re-apply so the walk keeps moving.
     if (step % 4 == 3) {
       state->RevertSegment();
       ASSERT_NEAR(state->Score(), score_before, kTol)
@@ -133,6 +136,18 @@ void RunMeasureSequence(const Measure& measure, uint64_t seed, int steps,
       ASSERT_NEAR(state->Score(), bound->Compute(world.masked), kTol);
       EXPECT_EQ(state->Score(), bound->BindState(world.masked)->Score())
           << measure.Name() << " revert differs from a fresh bind at step "
+          << step;
+      auto probe = RandomBatch(&world.masked, world.attrs, &probe_rng, 1);
+      state->ApplySegment(world.masked, probe);
+      ASSERT_NEAR(state->Score(), bound->Compute(world.masked), kTol)
+          << measure.Name() << " step after a revert at step " << step;
+      EXPECT_EQ(state->Score(), bound->BindState(world.masked)->Score())
+          << measure.Name()
+          << " step after a revert differs from a fresh bind at step "
+          << step;
+      state->RevertSegment();
+      ASSERT_NEAR(state->Score(), score_before, kTol)
+          << measure.Name() << " revert of the step after a revert at step "
           << step;
       world.masked = after;
       state->ApplySegment(world.masked, deltas);
@@ -250,6 +265,12 @@ TEST(DeltaEvalTest, WideBatchesTriggerRebuildAndStayExact) {
                      /*force_rebuilds=*/true);
   RunMeasureSequence(CtbIl(2), 23, 40, 24, /*force_rebuilds=*/true);
   RunMeasureSequence(ProbabilisticRecordLinkage(10), 24, 20, 24,
+                     /*force_rebuilds=*/true);
+  // The cell measures' fraction is 1.0, so only a forced threshold takes
+  // their rebuild branch.
+  RunMeasureSequence(DbIl(), 25, 40, 24, /*force_rebuilds=*/true);
+  RunMeasureSequence(EbIl(), 26, 40, 24, /*force_rebuilds=*/true);
+  RunMeasureSequence(IntervalDisclosure(10.0), 27, 40, 24,
                      /*force_rebuilds=*/true);
 }
 

@@ -52,7 +52,9 @@ TEST(MicroaggregationTest, UnivariateGroupsShareValue) {
   // collapse to one category; distinct groups may share a centroid).
   auto counts = CategoryCounts(masked, 0);
   for (size_t c = 0; c < counts.size(); ++c) {
-    if (counts[c] > 0) EXPECT_GE(counts[c], 5) << "category " << c;
+    if (counts[c] > 0) {
+      EXPECT_GE(counts[c], 5) << "category " << c;
+    }
   }
 }
 

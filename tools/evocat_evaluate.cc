@@ -12,8 +12,8 @@
 // need --allow-new-categories, which registers such labels as fresh
 // categories instead.
 //
-// Examples:
-//   evocat_evaluate --original=census.csv --protected=census_protected.csv \
+// Examples (a command continues on the lines indented under it):
+//   evocat_evaluate --original=census.csv --protected=census_protected.csv
 //       --attrs=EDUCATION,MARITAL,OCCUPATION --ordinal=EDUCATION
 //   evocat_evaluate --job=job.json --protected=census_protected.csv
 

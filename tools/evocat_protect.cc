@@ -4,10 +4,10 @@
 // JobSpec — from --job <spec.json>, from flags, or both (flags override the
 // spec) — and hands it to api::Session. See docs/api.md for the spec schema.
 //
-// Examples:
+// Examples (a command continues on the lines indented under it):
 //   evocat_protect --job=job.json
 //   evocat_protect --synthetic=adult --generations=500 --out=protected.csv
-//   evocat_protect --input=census.csv --attrs=EDUCATION,MARITAL,OCCUPATION \
+//   evocat_protect --input=census.csv --attrs=EDUCATION,MARITAL,OCCUPATION
 //       --ordinal=EDUCATION --score=max --out=protected.csv --report
 //   evocat_protect --synthetic=flare --dump-job=- # print the resolved spec
 
