@@ -58,13 +58,15 @@ cat > "$probe_spec" <<'EOF'
 }
 EOF
 # The blocker pins the single worker forever, guaranteeing both jobs are
-# still unfinished when the SIGKILL lands.
+# still unfinished when the SIGKILL lands. Its budget is near INT32_MAX, so
+# the daemon must run (and replay) a job of that size without allocating for
+# it up front.
 blocker_spec="$workdir/blocker.json"
 python3 - "$probe_spec" "$blocker_spec" <<'EOF'
 import json, sys
 spec = json.load(open(sys.argv[1]))
 spec["name"] = "blocker"
-spec["ga"]["generations"] = 50000000
+spec["ga"]["generations"] = 2000000000
 json.dump(spec, open(sys.argv[2], "w"))
 EOF
 

@@ -54,14 +54,24 @@ void ParamReader::RecordError(const std::string& key,
   }
 }
 
-int64_t ParamReader::GetInt(const std::string& key, int64_t default_value) {
+int ParamReader::GetInt(const std::string& key, int default_value, int min,
+                        int max) {
   consumed_.insert(key);
   auto it = params_->find(key);
   if (it == params_->end()) return default_value;
   int64_t value = default_value;
   Status status = ParseInt64(it->second, &value);
-  if (!status.ok()) RecordError(key, status.message());
-  return value;
+  if (!status.ok()) {
+    RecordError(key, status.message());
+    return default_value;
+  }
+  if (value < min || value > max) {
+    RecordError(key, "must be in [" + std::to_string(min) + ", " +
+                         std::to_string(max) + "], got " +
+                         std::to_string(value));
+    return default_value;
+  }
+  return static_cast<int>(value);
 }
 
 double ParamReader::GetDouble(const std::string& key, double default_value) {

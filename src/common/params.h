@@ -11,6 +11,7 @@
 #ifndef EVOCAT_COMMON_PARAMS_H_
 #define EVOCAT_COMMON_PARAMS_H_
 
+#include <climits>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -28,6 +29,7 @@ using ParamMap = std::map<std::string, std::string>;
 /// ```
 /// ParamReader reader("pram", params);
 /// double retain = reader.GetDouble("retain", 0.8);
+/// int k = reader.GetInt("k", 3);  // rejects values outside int
 /// EVOCAT_RETURN_NOT_OK(reader.Finish());  // unknown keys, parse errors
 /// ```
 class ParamReader {
@@ -36,8 +38,11 @@ class ParamReader {
       : context_(std::move(context)), params_(&params) {}
 
   /// Typed getters; a missing key yields the default, a malformed value is
-  /// recorded and surfaced by Finish().
-  int64_t GetInt(const std::string& key, int64_t default_value);
+  /// recorded and surfaced by Finish(). `GetInt` also records a value
+  /// outside [min, max] (by default, outside `int`) as
+  /// "<context>.<key>: must be in [min, max], got <value>".
+  int GetInt(const std::string& key, int default_value, int min = INT_MIN,
+             int max = INT_MAX);
   double GetDouble(const std::string& key, double default_value);
   std::string GetString(const std::string& key, std::string default_value);
 

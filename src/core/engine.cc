@@ -24,9 +24,8 @@ Status EvolutionEngine::ValidateInitial(
 }
 
 // The loop body lives in core::GenerationStepper (core/stepper.h) so the
-// evolve/ strategies can drive the identical step over their own
-// populations and RNG streams; this function is the paper's classic
-// generational schedule around it.
+// islands strategy can drive the identical step over its own populations and
+// RNG streams; this function is the single-population schedule around it.
 Result<EvolutionResult> EvolutionEngine::Run(
     std::vector<Individual> initial, const ProgressCallback& callback,
     const std::atomic<bool>* cancel) const {
@@ -37,7 +36,6 @@ Result<EvolutionResult> EvolutionEngine::Run(
 
   Timer run_timer;
   EvolutionResult result;
-  result.history.reserve(static_cast<size_t>(config_.generations));
 
   EVOCAT_RETURN_NOT_OK(EvaluateInitialPopulation(
       evaluator_, &initial, &result.stats.initial_eval_seconds, cancel));
@@ -50,7 +48,7 @@ Result<EvolutionResult> EvolutionEngine::Run(
 
   Rng rng(config_.seed);
   GenerationStepper stepper(evaluator_, config_, &population, &rng,
-                            &result.stats, &next_id, cancel);
+                            &result.stats, &next_id, cancel, lambda_);
 
   double best_score = population.MinScore();
   int stale_generations = 0;

@@ -9,7 +9,9 @@
 /// better throughout. The paper re-scores every offspring in full; here each
 /// offspring is scored from its parent's `metrics::FitnessState` (apply the
 /// operator's delta, revert on rejection), which tracks
-/// `FitnessEvaluator::Evaluate` to 1e-9.
+/// `FitnessEvaluator::Evaluate` to 1e-9. The step itself is
+/// `core::GenerationStepper` (core/stepper.h); with `lambda` > 1 each
+/// generation plans that many offspring batches (the steady_state strategy).
 
 #ifndef EVOCAT_CORE_ENGINE_H_
 #define EVOCAT_CORE_ENGINE_H_
@@ -64,8 +66,9 @@ struct GenerationRecord {
   double min_score = 0.0;
   double mean_score = 0.0;
   double max_score = 0.0;
-  /// Offspring evaluated this generation/step (1 mutation / 2 crossover in
-  /// the generational loop; lambda or 2*lambda for a steady-state step).
+  /// Offspring planned this generation: lambda for mutation, 2*lambda for
+  /// crossover (1 and 2 in the paper's loop). Self-mating offspring count,
+  /// though they are not scored.
   int evaluations = 0;
   /// Whether any offspring displaced its parent.
   bool accepted = false;
@@ -105,8 +108,11 @@ class EvolutionEngine {
       std::function<void(const GenerationRecord&, const Population&)>;
 
   /// \param evaluator bound fitness evaluator; must outlive the engine.
-  EvolutionEngine(const metrics::FitnessEvaluator* evaluator, GaConfig config)
-      : evaluator_(evaluator), config_(config) {}
+  /// \param lambda offspring batches per generation (>= 1; the paper's
+  ///        loop is 1).
+  EvolutionEngine(const metrics::FitnessEvaluator* evaluator, GaConfig config,
+                  int lambda = 1)
+      : evaluator_(evaluator), config_(config), lambda_(lambda) {}
 
   /// \brief Evolves `initial` (fitness fields may be unset; they are
   /// evaluated up front, in parallel) for the configured generations.
@@ -126,6 +132,7 @@ class EvolutionEngine {
 
   const metrics::FitnessEvaluator* evaluator_;
   GaConfig config_;
+  int lambda_;
 };
 
 }  // namespace core

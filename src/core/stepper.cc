@@ -137,13 +137,16 @@ GenerationStepper::GenerationStepper(const metrics::FitnessEvaluator* evaluator,
                                      const GaConfig& config,
                                      Population* population, Rng* rng,
                                      EvolutionStats* stats, uint64_t* next_id,
-                                     const std::atomic<bool>* cancel)
-    : config_(config),
+                                     const std::atomic<bool>* cancel,
+                                     int lambda)
+    : evaluator_(evaluator),
+      config_(config),
       population_(population),
       rng_(rng),
       stats_(stats),
       next_id_(next_id),
       cancel_(cancel),
+      lambda_(lambda),
       selection_(config.selection),
       layout_(evaluator->attrs(), evaluator->original().num_rows()),
       mutate_(layout_, config.mutation_excludes_current),
@@ -151,7 +154,7 @@ GenerationStepper::GenerationStepper(const metrics::FitnessEvaluator* evaluator,
 
 // Deterministic crowding means an offspring only ever competes with its own
 // parent, so the parent's fitness state can be advanced in place and
-// reverted on rejection — no state cloning per generation.
+// reverted on rejection — no state cloning per step.
 GenerationRecord GenerationStepper::Step(int generation) {
   Population& population = *population_;
   Rng& rng = *rng_;
@@ -161,96 +164,128 @@ GenerationRecord GenerationStepper::Step(int generation) {
   GenerationRecord record;
   record.generation = generation;
 
-  // Paper Algorithm 1: a uniform `alter` draw picks the operator.
-  bool do_mutation = rng.UniformDouble() < config_.mutation_rate;
-  double eval_seconds = 0.0;
-
+  // Paper Algorithm 1: a uniform `alter` draw picks the operator, planned
+  // `lambda_` times against the step-start population.
+  const bool do_mutation = rng.UniformDouble() < config_.mutation_rate;
+  record.op = do_mutation ? OperatorKind::kMutation : OperatorKind::kCrossover;
+  const std::vector<double> scores = population.Scores();
+  std::vector<Offspring> plan;
+  plan.reserve(static_cast<size_t>(do_mutation ? lambda_ : 2 * lambda_));
   if (do_mutation) {
-    record.op = OperatorKind::kMutation;
-    size_t parent_idx = selection_.Select(population.Scores(), &rng);
-    Individual child;
-    child.data = population[parent_idx].data.Clone();  // COW share
-    auto mutation = mutate_.Apply(&child.data, &rng);
-    child.origin = "mutation<" + BaseOrigin(population[parent_idx].origin) + ">";
-    child.id = (*next_id_)++;
-
-    auto& parent_state = population[parent_idx].eval_state;
-    Timer eval_timer;
-    metrics::SegmentDelta deltas;
-    if (mutation.new_code != mutation.old_code) {
-      deltas.Append(mutation.row, mutation.attr, mutation.old_code,
-                    mutation.new_code);
+    for (int k = 0; k < lambda_; ++k) {
+      Offspring child;
+      child.slot = selection_.Select(scores, &rng);
+      const Individual& parent = population[child.slot];
+      child.individual.data = parent.data.Clone();  // COW share
+      auto mutation = mutate_.Apply(&child.individual.data, &rng);
+      if (mutation.new_code != mutation.old_code) {
+        child.deltas.Append(mutation.row, mutation.attr, mutation.old_code,
+                            mutation.new_code);
+      }
+      child.individual.origin = "mutation<" + BaseOrigin(parent.origin) + ">";
+      child.individual.id = (*next_id_)++;
+      plan.push_back(std::move(child));
     }
-    parent_state->ApplyDelta(child.data, deltas, cancel_);
-    child.fitness = parent_state->breakdown();
-    eval_seconds = eval_timer.ElapsedSeconds();
-    record.evaluations = 1;
-
-    // Elitist replacement: the offspring survives only if strictly better.
-    if (child.score() < population[parent_idx].score()) {
-      child.eval_state = std::move(parent_state);  // state is the child's
-      population[parent_idx] = std::move(child);
-      record.accepted = true;
-      ++stats_->accepted_mutations;
-    } else {
-      parent_state->Revert();
-    }
-    ++stats_->mutation_generations;
   } else {
-    record.op = OperatorKind::kCrossover;
     // First parent uniformly from the leader group (the Nb best; the
     // population is sorted ascending), mate proportionally from everyone.
-    size_t leaders = std::min<size_t>(
+    const size_t leaders = std::min<size_t>(
         static_cast<size_t>(config_.leader_group_size), population.size());
-    size_t i1 = rng.UniformIndex(leaders);
-    size_t i2 = selection_.Select(population.Scores(), &rng);
-
-    Individual child1, child2;
-    auto segment = cross_.Apply(population[i1].data, population[i2].data,
-                                &child1.data, &child2.data, &rng);
-    child1.origin = "cross<" + BaseOrigin(population[i1].origin) + ">";
-    child2.origin = "cross<" + BaseOrigin(population[i2].origin) + ">";
-    child1.id = (*next_id_)++;
-    child2.id = (*next_id_)++;
-
-    // Self-mating (i1 == i2) swaps a segment between two copies of one
-    // genome, so both offspring equal their parent: neither can beat it, and
-    // neither is scored (the record still counts both).
-    record.evaluations = 2;
-    if (i1 != i2) {
-      // The legs always overlap: a heavy leg (a rebuild-sized segment) does
-      // not hog or starve the pool, because nested regions — the per-measure
-      // fan-out inside FitnessState::ApplyDelta and every measure's own row
-      // loops — submit to the shared scheduler instead of serializing.
-      Timer eval_timer;
-      ParallelFor(0, 2, [&](int64_t leg) {
-        Individual& child = leg == 0 ? child1 : child2;
-        auto& state = population[leg == 0 ? i1 : i2].eval_state;
-        const auto& deltas = leg == 0 ? segment.deltas1 : segment.deltas2;
-        state->ApplyDelta(child.data, deltas, cancel_);
-        child.fitness = state->breakdown();
-      });
-      eval_seconds = eval_timer.ElapsedSeconds();
-
-      // Deterministic crowding: each offspring competes with its own parent.
-      if (child1.score() < population[i1].score()) {
-        child1.eval_state = std::move(population[i1].eval_state);
-        population[i1] = std::move(child1);
-        record.accepted = true;
-        ++stats_->accepted_crossovers;
-      } else {
-        population[i1].eval_state->Revert();
-      }
-      if (child2.score() < population[i2].score()) {
-        child2.eval_state = std::move(population[i2].eval_state);
-        population[i2] = std::move(child2);
-        record.accepted = true;
-        ++stats_->accepted_crossovers;
-      } else {
-        population[i2].eval_state->Revert();
-      }
+    for (int k = 0; k < lambda_; ++k) {
+      const size_t i1 = rng.UniformIndex(leaders);
+      const size_t i2 = selection_.Select(scores, &rng);
+      Offspring child1, child2;
+      auto segment =
+          cross_.Apply(population[i1].data, population[i2].data,
+                       &child1.individual.data, &child2.individual.data, &rng);
+      child1.slot = i1;
+      child2.slot = i2;
+      child1.deltas = std::move(segment.deltas1);
+      child2.deltas = std::move(segment.deltas2);
+      child1.individual.origin =
+          "cross<" + BaseOrigin(population[i1].origin) + ">";
+      child2.individual.origin =
+          "cross<" + BaseOrigin(population[i2].origin) + ">";
+      child1.individual.id = (*next_id_)++;
+      child2.individual.id = (*next_id_)++;
+      // Self-mating (i1 == i2) swaps a segment between two copies of one
+      // genome, so both offspring equal their parent: neither can beat it,
+      // and neither is scored (the record still counts both).
+      child1.scored = child2.scored = i1 != i2;
+      plan.push_back(std::move(child1));
+      plan.push_back(std::move(child2));
     }
-    ++stats_->crossover_generations;
+  }
+  record.evaluations = static_cast<int>(plan.size());
+
+  // Offspring of one slot share its parent's state, so they score serially
+  // in plan order; distinct slots touch disjoint states and fan out. The
+  // slots always overlap: a heavy leg (a rebuild-sized segment) does not hog
+  // or starve the pool, because nested regions — the per-measure fan-out
+  // inside FitnessState::ApplyDelta and every measure's own row loops —
+  // submit to the shared scheduler instead of serializing.
+  std::vector<std::vector<size_t>> slot_offspring;
+  {
+    std::vector<int> group_of_slot(population.size(), -1);
+    for (size_t p = 0; p < plan.size(); ++p) {
+      if (!plan[p].scored) continue;
+      int& group = group_of_slot[plan[p].slot];
+      if (group < 0) {
+        group = static_cast<int>(slot_offspring.size());
+        slot_offspring.emplace_back();
+      }
+      slot_offspring[static_cast<size_t>(group)].push_back(p);
+    }
+  }
+  Timer eval_timer;
+  ParallelFor(0, static_cast<int64_t>(slot_offspring.size()), [&](int64_t g) {
+    const std::vector<size_t>& offspring =
+        slot_offspring[static_cast<size_t>(g)];
+    metrics::FitnessState& state =
+        *population[plan[offspring.front()].slot].eval_state;
+    for (size_t j = 0; j < offspring.size(); ++j) {
+      if (j > 0) state.Revert();
+      Offspring& child = plan[offspring[j]];
+      state.ApplyDelta(child.individual.data, child.deltas, cancel_);
+      child.individual.fitness = state.breakdown();
+    }
+    plan[offspring.back()].holds_state = true;
+  });
+  const double eval_seconds = eval_timer.ElapsedSeconds();
+
+  // Replacement, serial in plan order: each offspring competes with its
+  // slot's current occupant (elitist for mutation, deterministic crowding
+  // for crossover) and survives only if strictly better.
+  std::vector<char> replaced(population.size(), 0);
+  for (Offspring& child : plan) {
+    Individual& occupant = population[child.slot];
+    if (!child.scored || child.individual.score() >= occupant.score()) {
+      continue;
+    }
+    if (replaced[child.slot]) {
+      // The parent's state went to an earlier offspring of this step.
+      child.individual.eval_state =
+          evaluator_->BindState(child.individual.data);
+    } else {
+      if (!child.holds_state) {
+        // The state holds a later offspring of the same slot.
+        occupant.eval_state->Revert();
+        occupant.eval_state->ApplyDelta(child.individual.data, child.deltas,
+                                        cancel_);
+      }
+      child.individual.eval_state = std::move(occupant.eval_state);
+    }
+    occupant = std::move(child.individual);
+    replaced[child.slot] = 1;
+    record.accepted = true;
+    ++(do_mutation ? stats_->accepted_mutations
+                   : stats_->accepted_crossovers);
+  }
+  // A rejected offspring left applied hands its parent's state back.
+  for (const Offspring& child : plan) {
+    if (child.holds_state && !replaced[child.slot]) {
+      population[child.slot].eval_state->Revert();
+    }
   }
 
   population.SortByScore();
@@ -261,16 +296,17 @@ GenerationRecord GenerationStepper::Step(int generation) {
   record.eval_seconds = eval_seconds;
   record.total_seconds = gen_timer.ElapsedSeconds();
   stats_->offspring_evaluated += record.evaluations;
-  if (record.op == OperatorKind::kMutation) {
+  if (do_mutation) {
+    ++stats_->mutation_generations;
     stats_->mutation_eval_seconds += record.eval_seconds;
     stats_->mutation_total_seconds += record.total_seconds;
   } else {
+    ++stats_->crossover_generations;
     stats_->crossover_eval_seconds += record.eval_seconds;
     stats_->crossover_total_seconds += record.total_seconds;
   }
-  const bool mutation_op = record.op == OperatorKind::kMutation;
-  GenerationsCounter(mutation_op)->Increment();
-  if (record.accepted) AcceptedCounter(mutation_op)->Increment();
+  GenerationsCounter(do_mutation)->Increment();
+  if (record.accepted) AcceptedCounter(do_mutation)->Increment();
   GenerationSecondsHistogram()->Observe(record.total_seconds);
   return record;
 }

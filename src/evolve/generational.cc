@@ -1,10 +1,14 @@
 /// \file generational.cc
-/// \brief The paper-faithful default strategy.
+/// \brief The paper-faithful default strategy, and the engine strategy the
+/// steady_state factory builds.
 ///
-/// Delegates to `core::EvolutionEngine::Run` verbatim, so a JobSpec with
+/// Both delegate to `core::EvolutionEngine::Run` verbatim, so a JobSpec with
 /// `strategy: {"name": "generational"}` (or no strategy at all) is
 /// bit-identical to the pre-strategy engine — the property the strategy
-/// determinism tests pin down.
+/// determinism tests pin down — and steady_state with `lambda` 1 is
+/// generational under another name.
+
+#include <utility>
 
 #include "core/engine.h"
 #include "evolve/registry.h"
@@ -15,20 +19,32 @@ namespace evolve {
 
 namespace {
 
-class GenerationalStrategy : public EvolutionStrategy {
+class EngineStrategy : public EvolutionStrategy {
  public:
-  std::string name() const override { return "generational"; }
+  EngineStrategy(std::string name, int lambda)
+      : name_(std::move(name)), lambda_(lambda) {}
+
+  std::string name() const override { return name_; }
 
   Result<core::EvolutionResult> Run(
       const metrics::FitnessEvaluator* evaluator,
       const core::GaConfig& config, std::vector<core::Individual> initial,
       const std::atomic<bool>* cancel) const override {
-    core::EvolutionEngine engine(evaluator, config);
+    core::EvolutionEngine engine(evaluator, config, lambda_);
     return engine.Run(std::move(initial), nullptr, cancel);
   }
+
+ private:
+  std::string name_;
+  int lambda_;
 };
 
 }  // namespace
+
+std::unique_ptr<EvolutionStrategy> NewEngineStrategy(std::string name,
+                                                     int lambda) {
+  return std::make_unique<EngineStrategy>(std::move(name), lambda);
+}
 
 void RegisterGenerationalStrategy(StrategyRegistry* registry) {
   Status status = registry->Register(
@@ -37,7 +53,7 @@ void RegisterGenerationalStrategy(StrategyRegistry* registry) {
           -> Result<std::unique_ptr<EvolutionStrategy>> {
         ParamReader reader("generational", params);
         EVOCAT_RETURN_NOT_OK(reader.Finish());  // no parameters accepted
-        return std::unique_ptr<EvolutionStrategy>(new GenerationalStrategy());
+        return NewEngineStrategy("generational", 1);
       });
   (void)status;
 }

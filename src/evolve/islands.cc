@@ -119,7 +119,6 @@ Result<core::EvolutionResult> IslandsStrategy::Run(
     island.rng = master.Fork();
     island.next_id = next_id + kIslandIdStride * static_cast<uint64_t>(k);
     island.best_score = island.population.MinScore();
-    island.history.reserve(static_cast<size_t>(config.generations));
   }
 
   std::vector<std::unique_ptr<core::GenerationStepper>> steppers;
@@ -252,31 +251,18 @@ void RegisterIslandsStrategy(StrategyRegistry* registry) {
       [](const ParamMap& params)
           -> Result<std::unique_ptr<EvolutionStrategy>> {
         ParamReader reader("islands", params);
-        int64_t islands = reader.GetInt("islands", 4);
-        int64_t interval = reader.GetInt("migration_interval", 25);
-        int64_t migrants = reader.GetInt("migrants", 1);
+        int islands = reader.GetInt("islands", 4, 1, 256);
+        int interval = reader.GetInt("migration_interval", 25, 1);
+        int migrants = reader.GetInt("migrants", 1, 0);
         std::string stop_mode = reader.GetString("stop_mode", "per_island");
         EVOCAT_RETURN_NOT_OK(reader.Finish());
-        if (islands < 1 || islands > 256) {
-          return Status::Invalid("islands.islands must be in [1, 256], got ",
-                                 islands);
-        }
-        if (interval < 1) {
-          return Status::Invalid(
-              "islands.migration_interval must be >= 1, got ", interval);
-        }
-        if (migrants < 0) {
-          return Status::Invalid("islands.migrants must be >= 0, got ",
-                                 migrants);
-        }
         if (stop_mode != "per_island" && stop_mode != "global") {
           return Status::Invalid(
               "islands.stop_mode must be per_island or global, got '",
               stop_mode, "'");
         }
         return std::unique_ptr<EvolutionStrategy>(new IslandsStrategy(
-            static_cast<int>(islands), static_cast<int>(interval),
-            static_cast<int>(migrants), stop_mode == "global"));
+            islands, interval, migrants, stop_mode == "global"));
       });
   (void)status;
 }

@@ -1,71 +1,18 @@
 #include "evolve/registry.h"
 
-#include <algorithm>
-
-#include "common/string_utils.h"
-
 namespace evocat {
-namespace evolve {
 
-StrategyRegistry& StrategyRegistry::Global() {
-  static StrategyRegistry* registry = [] {
-    auto* r = new StrategyRegistry();
-    RegisterGenerationalStrategy(r);
-    RegisterSteadyStateStrategy(r);
-    RegisterIslandsStrategy(r);
+template <>
+Registry<evolve::EvolutionStrategy>&
+Registry<evolve::EvolutionStrategy>::Global() {
+  static auto* registry = [] {
+    auto* r = new evolve::StrategyRegistry("evolution strategy");
+    evolve::RegisterGenerationalStrategy(r);
+    evolve::RegisterSteadyStateStrategy(r);
+    evolve::RegisterIslandsStrategy(r);
     return r;
   }();
   return *registry;
 }
 
-Status StrategyRegistry::Register(const std::string& name,
-                                  StrategyFactory factory) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string key = ToLower(name);
-  if (entries_.count(key)) {
-    return Status::AlreadyExists("evolution strategy '", name,
-                                 "' is already registered");
-  }
-  entries_[key] = Entry{name, std::move(factory)};
-  return Status::OK();
-}
-
-Result<std::unique_ptr<EvolutionStrategy>> StrategyRegistry::Create(
-    const std::string& name, const ParamMap& params) const {
-  StrategyFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(ToLower(name));
-    if (it == entries_.end()) {
-      std::vector<std::string> names;
-      for (const auto& [key, entry] : entries_) {
-        (void)key;
-        names.push_back(entry.canonical_name);
-      }
-      return Status::NotFound("unknown evolution strategy '", name,
-                              "'; known: ", Join(names, ','));
-    }
-    factory = it->second.factory;
-  }
-  return factory(params);
-}
-
-bool StrategyRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(ToLower(name)) > 0;
-}
-
-std::vector<std::string> StrategyRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    (void)key;
-    names.push_back(entry.canonical_name);
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-}  // namespace evolve
 }  // namespace evocat

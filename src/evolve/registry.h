@@ -1,67 +1,20 @@
 /// \file registry.h
-/// \brief String-keyed factory registry for evolution strategies.
+/// \brief The evolution-strategy registry (`Registry`, common/registry.h).
 ///
-/// Mirrors `protection::MethodRegistry` and `metrics::MeasureRegistry`: each
-/// strategy implementation file registers its own factory — including the
-/// parameter schema it accepts — through the hook it defines at the bottom of
-/// its .cc, and `StrategyRegistry::Global()` runs every hook once on first
-/// use. A JobSpec's `strategy` object ({"name": ..., "params": {...}}) is
-/// resolved here, so new strategies plug in without touching the Session.
+/// A JobSpec's `strategy` object ({"name": ..., "params": {...}}) is resolved
+/// here, so new strategies plug in without touching the Session.
 
 #ifndef EVOCAT_EVOLVE_REGISTRY_H_
 #define EVOCAT_EVOLVE_REGISTRY_H_
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "common/params.h"
-#include "common/result.h"
+#include "common/registry.h"
 #include "evolve/strategy.h"
 
 namespace evocat {
 namespace evolve {
 
-/// \brief Builds one configured strategy from a parameter map.
-///
-/// Factories reject unknown or malformed parameters with a Status naming the
-/// offending field (use `ParamReader`).
-using StrategyFactory =
-    std::function<Result<std::unique_ptr<EvolutionStrategy>>(const ParamMap&)>;
-
 /// \brief Name -> factory registry for `EvolutionStrategy` implementations.
-///
-/// Lookup is case-insensitive ("Islands" == "islands"); `Names()` reports
-/// canonical spellings. Thread-safe.
-class StrategyRegistry {
- public:
-  /// \brief The process-wide registry, with all built-ins registered.
-  static StrategyRegistry& Global();
-
-  /// \brief Registers `factory` under `name`; duplicate names are an error.
-  Status Register(const std::string& name, StrategyFactory factory);
-
-  /// \brief Constructs the strategy registered under `name`.
-  Result<std::unique_ptr<EvolutionStrategy>> Create(
-      const std::string& name, const ParamMap& params = {}) const;
-
-  bool Contains(const std::string& name) const;
-
-  /// \brief Canonical registered names, sorted.
-  std::vector<std::string> Names() const;
-
- private:
-  struct Entry {
-    std::string canonical_name;
-    StrategyFactory factory;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;  // keyed by lower-cased name
-};
+using StrategyRegistry = Registry<EvolutionStrategy>;
 
 /// \brief Built-in registration hooks, each implemented alongside the
 /// strategy it registers (self-registration; called once by `Global()`).
@@ -70,6 +23,11 @@ void RegisterSteadyStateStrategy(StrategyRegistry* registry);
 void RegisterIslandsStrategy(StrategyRegistry* registry);
 
 }  // namespace evolve
+
+template <>
+Registry<evolve::EvolutionStrategy>&
+Registry<evolve::EvolutionStrategy>::Global();
+
 }  // namespace evocat
 
 #endif  // EVOCAT_EVOLVE_REGISTRY_H_

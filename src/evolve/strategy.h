@@ -3,8 +3,8 @@
 ///
 /// A strategy decides *how* the per-generation step (core::GenerationStepper)
 /// is scheduled over a population: the paper's one-offspring-at-a-time
-/// generational loop, a steady-state loop evaluating lambda offspring
-/// concurrently, or an island model evolving N subpopulations in parallel
+/// generational loop, the same loop with lambda offspring batches per step
+/// (steady-state), or an island model evolving N subpopulations in parallel
 /// with ring migration. Strategies are constructed by name + parameter map
 /// through `StrategyRegistry` (evolve/registry.h), which is how a JobSpec's
 /// `strategy` object selects one declaratively.
@@ -24,6 +24,7 @@
 #define EVOCAT_EVOLVE_STRATEGY_H_
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,12 @@ class EvolutionStrategy {
       const core::GaConfig& config, std::vector<core::Individual> initial,
       const std::atomic<bool>* cancel) const = 0;
 };
+
+/// \brief The single-population strategy named `name`:
+/// `core::EvolutionEngine` with `lambda` offspring batches per generation
+/// ("generational" is lambda 1, "steady_state" its `lambda` parameter).
+std::unique_ptr<EvolutionStrategy> NewEngineStrategy(std::string name,
+                                                     int lambda);
 
 /// \brief Merges island/step substats into one run-level aggregate
 /// (sums counters and per-phase seconds; `total_seconds` is the caller's

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <unordered_map>
 
 #include "data/stats.h"
@@ -268,16 +267,9 @@ void RegisterCtbilMeasure(MeasureRegistry* registry) {
   registry->Register(
       "CTBIL", [](const ParamMap& params) -> Result<std::unique_ptr<Measure>> {
         ParamReader reader("CTBIL", params);
-        int64_t max_dimension = reader.GetInt("max_dimension", 2);
+        int max_dimension = reader.GetInt("max_dimension", 2, 1);
         EVOCAT_RETURN_NOT_OK(reader.Finish());
-        if (max_dimension < 1 ||
-            max_dimension > std::numeric_limits<int>::max()) {
-          return Status::Invalid("CTBIL.max_dimension must be in [1, ",
-                                 std::numeric_limits<int>::max(), "], got ",
-                                 max_dimension);
-        }
-        return std::unique_ptr<Measure>(
-            new CtbIl(static_cast<int>(max_dimension)));
+        return std::unique_ptr<Measure>(new CtbIl(max_dimension));
       });
 }
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 
 #include "common/math_utils.h"
@@ -646,16 +645,10 @@ void RegisterPrlMeasure(MeasureRegistry* registry) {
   registry->Register(
       "PRL", [](const ParamMap& params) -> Result<std::unique_ptr<Measure>> {
         ParamReader reader("PRL", params);
-        int64_t em_iterations = reader.GetInt("em_iterations", 50);
+        int em_iterations = reader.GetInt("em_iterations", 50, 1);
         EVOCAT_RETURN_NOT_OK(reader.Finish());
-        if (em_iterations < 1 ||
-            em_iterations > std::numeric_limits<int>::max()) {
-          return Status::Invalid("PRL.em_iterations must be in [1, ",
-                                 std::numeric_limits<int>::max(), "], got ",
-                                 em_iterations);
-        }
         return std::unique_ptr<Measure>(
-            new ProbabilisticRecordLinkage(static_cast<int>(em_iterations)));
+            new ProbabilisticRecordLinkage(em_iterations));
       });
 }
 

@@ -1,74 +1,21 @@
 #include "metrics/registry.h"
 
-#include <algorithm>
-
-#include "common/string_utils.h"
-
 namespace evocat {
-namespace metrics {
 
-MeasureRegistry& MeasureRegistry::Global() {
-  static MeasureRegistry* registry = [] {
-    auto* r = new MeasureRegistry();
-    RegisterCtbilMeasure(r);
-    RegisterDbilMeasure(r);
-    RegisterEbilMeasure(r);
-    RegisterIntervalDisclosureMeasure(r);
-    RegisterDbrlMeasure(r);
-    RegisterPrlMeasure(r);
-    RegisterRsrlMeasure(r);
+template <>
+Registry<metrics::Measure>& Registry<metrics::Measure>::Global() {
+  static auto* registry = [] {
+    auto* r = new metrics::MeasureRegistry("measure");
+    metrics::RegisterCtbilMeasure(r);
+    metrics::RegisterDbilMeasure(r);
+    metrics::RegisterEbilMeasure(r);
+    metrics::RegisterIntervalDisclosureMeasure(r);
+    metrics::RegisterDbrlMeasure(r);
+    metrics::RegisterPrlMeasure(r);
+    metrics::RegisterRsrlMeasure(r);
     return r;
   }();
   return *registry;
 }
 
-Status MeasureRegistry::Register(const std::string& name,
-                                 MeasureFactory factory) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string key = ToLower(name);
-  if (entries_.count(key)) {
-    return Status::AlreadyExists("measure '", name, "' is already registered");
-  }
-  entries_[key] = Entry{name, std::move(factory)};
-  return Status::OK();
-}
-
-Result<std::unique_ptr<Measure>> MeasureRegistry::Create(
-    const std::string& name, const ParamMap& params) const {
-  MeasureFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(ToLower(name));
-    if (it == entries_.end()) {
-      std::vector<std::string> names;
-      for (const auto& [key, entry] : entries_) {
-        (void)key;
-        names.push_back(entry.canonical_name);
-      }
-      return Status::NotFound("unknown measure '", name,
-                              "'; known: ", Join(names, ','));
-    }
-    factory = it->second.factory;
-  }
-  return factory(params);
-}
-
-bool MeasureRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(ToLower(name)) > 0;
-}
-
-std::vector<std::string> MeasureRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    (void)key;
-    names.push_back(entry.canonical_name);
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-}  // namespace metrics
 }  // namespace evocat

@@ -48,10 +48,10 @@ void RegisterGlobalRecodingMethod(MethodRegistry* registry) {
       "globalrecoding",
       [](const ParamMap& params) -> Result<std::unique_ptr<ProtectionMethod>> {
         ParamReader reader("globalrecoding", params);
-        int64_t group_size = reader.GetInt("group_size", 2);
+        int group_size = reader.GetInt("group_size", 2);
         EVOCAT_RETURN_NOT_OK(reader.Finish());
         return std::unique_ptr<ProtectionMethod>(
-            new GlobalRecoding(static_cast<int>(group_size)));
+            new GlobalRecoding(group_size));
       });
 }
 

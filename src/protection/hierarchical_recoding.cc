@@ -44,11 +44,11 @@ void RegisterHierarchicalRecodingMethod(MethodRegistry* registry) {
       "hierarchicalrecoding",
       [](const ParamMap& params) -> Result<std::unique_ptr<ProtectionMethod>> {
         ParamReader reader("hierarchicalrecoding", params);
-        int64_t level = reader.GetInt("level", 1);
-        int64_t fanout = reader.GetInt("fanout", 2);
+        int level = reader.GetInt("level", 1);
+        int fanout = reader.GetInt("fanout", 2);
         EVOCAT_RETURN_NOT_OK(reader.Finish());
-        return std::unique_ptr<ProtectionMethod>(new HierarchicalRecoding(
-            static_cast<int>(level), static_cast<int>(fanout)));
+        return std::unique_ptr<ProtectionMethod>(
+            new HierarchicalRecoding(level, fanout));
       });
 }
 

@@ -213,13 +213,13 @@ void RegisterMicroaggregationMethod(MethodRegistry* registry) {
       "microaggregation",
       [](const ParamMap& params) -> Result<std::unique_ptr<ProtectionMethod>> {
         ParamReader reader("microaggregation", params);
-        int64_t k = reader.GetInt("k", 3);
+        int k = reader.GetInt("k", 3);
         std::string ordering_name = reader.GetString("ordering", "univariate");
         EVOCAT_RETURN_NOT_OK(reader.Finish());
         EVOCAT_ASSIGN_OR_RETURN(MicroOrdering ordering,
                                 MicroOrderingFromString(ordering_name));
         return std::unique_ptr<ProtectionMethod>(
-            new Microaggregation(static_cast<int>(k), ordering));
+            new Microaggregation(k, ordering));
       });
 }
 

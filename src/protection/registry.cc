@@ -1,74 +1,21 @@
 #include "protection/registry.h"
 
-#include <algorithm>
-
-#include "common/string_utils.h"
-
 namespace evocat {
-namespace protection {
 
-MethodRegistry& MethodRegistry::Global() {
-  static MethodRegistry* registry = [] {
-    auto* r = new MethodRegistry();
-    RegisterMicroaggregationMethod(r);
-    RegisterCodingMethods(r);
-    RegisterGlobalRecodingMethod(r);
-    RegisterHierarchicalRecodingMethod(r);
-    RegisterRankSwappingMethod(r);
-    RegisterPramMethod(r);
+template <>
+Registry<protection::ProtectionMethod>&
+Registry<protection::ProtectionMethod>::Global() {
+  static auto* registry = [] {
+    auto* r = new protection::MethodRegistry("protection method");
+    protection::RegisterMicroaggregationMethod(r);
+    protection::RegisterCodingMethods(r);
+    protection::RegisterGlobalRecodingMethod(r);
+    protection::RegisterHierarchicalRecodingMethod(r);
+    protection::RegisterRankSwappingMethod(r);
+    protection::RegisterPramMethod(r);
     return r;
   }();
   return *registry;
 }
 
-Status MethodRegistry::Register(const std::string& name,
-                                MethodFactory factory) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string key = ToLower(name);
-  if (entries_.count(key)) {
-    return Status::AlreadyExists("protection method '", name,
-                                 "' is already registered");
-  }
-  entries_[key] = Entry{name, std::move(factory)};
-  return Status::OK();
-}
-
-Result<std::unique_ptr<ProtectionMethod>> MethodRegistry::Create(
-    const std::string& name, const ParamMap& params) const {
-  MethodFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(ToLower(name));
-    if (it == entries_.end()) {
-      std::vector<std::string> names;
-      for (const auto& [key, entry] : entries_) {
-        (void)key;
-        names.push_back(entry.canonical_name);
-      }
-      return Status::NotFound("unknown protection method '", name,
-                              "'; known: ", Join(names, ','));
-    }
-    factory = it->second.factory;
-  }
-  return factory(params);
-}
-
-bool MethodRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(ToLower(name)) > 0;
-}
-
-std::vector<std::string> MethodRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    (void)key;
-    names.push_back(entry.canonical_name);
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-}  // namespace protection
 }  // namespace evocat

@@ -1,69 +1,20 @@
 /// \file registry.h
-/// \brief String-keyed factory registry for protection methods.
+/// \brief The protection-method registry (`Registry`, common/registry.h).
 ///
-/// The registry is what lets a JobSpec name its masking roster declaratively
-/// ("microaggregation", "pram", ...) instead of the caller wiring concrete
-/// classes at compile time. Each method implementation file registers its own
-/// factory — including the parameter schema it accepts — via the hook it
-/// defines at the bottom of its .cc; `MethodRegistry::Global()` invokes every
-/// hook exactly once on first use, which keeps registration inside the
-/// implementation files while staying immune to static-library dead-stripping
-/// of unreferenced translation units.
+/// A JobSpec's method roster ("microaggregation", "pram", ...) is expanded
+/// through this registry.
 
 #ifndef EVOCAT_PROTECTION_REGISTRY_H_
 #define EVOCAT_PROTECTION_REGISTRY_H_
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "common/params.h"
-#include "common/result.h"
+#include "common/registry.h"
 #include "protection/method.h"
 
 namespace evocat {
 namespace protection {
 
-/// \brief Builds one configured method instance from a parameter map.
-///
-/// Factories must reject unknown or malformed parameters with a Status that
-/// names the offending field (use `ParamReader`).
-using MethodFactory =
-    std::function<Result<std::unique_ptr<ProtectionMethod>>(const ParamMap&)>;
-
 /// \brief Name -> factory registry for `ProtectionMethod` implementations.
-///
-/// Lookup is case-insensitive; `Names()` reports canonical (registered)
-/// spellings. Thread-safe.
-class MethodRegistry {
- public:
-  /// \brief The process-wide registry, with all built-ins registered.
-  static MethodRegistry& Global();
-
-  /// \brief Registers `factory` under `name`; duplicate names are an error.
-  Status Register(const std::string& name, MethodFactory factory);
-
-  /// \brief Constructs the method registered under `name`.
-  Result<std::unique_ptr<ProtectionMethod>> Create(
-      const std::string& name, const ParamMap& params = {}) const;
-
-  bool Contains(const std::string& name) const;
-
-  /// \brief Canonical registered names, sorted.
-  std::vector<std::string> Names() const;
-
- private:
-  struct Entry {
-    std::string canonical_name;
-    MethodFactory factory;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;  // keyed by lower-cased name
-};
+using MethodRegistry = Registry<ProtectionMethod>;
 
 /// \brief Built-in registration hooks, each implemented alongside the method
 /// it registers (self-registration; called once by `Global()`).
@@ -75,6 +26,11 @@ void RegisterRankSwappingMethod(MethodRegistry* registry);
 void RegisterPramMethod(MethodRegistry* registry);
 
 }  // namespace protection
+
+template <>
+Registry<protection::ProtectionMethod>&
+Registry<protection::ProtectionMethod>::Global();
+
 }  // namespace evocat
 
 #endif  // EVOCAT_PROTECTION_REGISTRY_H_

@@ -1,7 +1,9 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -282,6 +284,28 @@ TEST(EngineTest, CallbackSeesEveryGeneration) {
                               }))
                     .ValueOrDie();
   EXPECT_EQ(calls, 30);
+}
+
+TEST(EngineTest, Int32MaxBudgetCancelsFromCallback) {
+  // The history grows as the run goes: a budget of INT32_MAX generations
+  // reserves nothing up front, so a run cancelled after its first
+  // generation returns Cancelled instead of aborting on the reservation.
+  EngineFixture fixture;
+  GaConfig config;
+  config.generations = std::numeric_limits<int>::max();
+  std::atomic<bool> cancel{false};
+  int calls = 0;
+  auto cancel_after_first = [&](const GenerationRecord& record,
+                                const Population&) {
+    ++calls;
+    if (record.generation == 1) cancel.store(true);
+  };
+  auto result = EvolutionEngine(fixture.evaluator.get(), config)
+                    .Run(fixture.SeedPopulation(14), cancel_after_first,
+                         &cancel);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(EngineTest, RejectsIncomparableIndividual) {

@@ -8,8 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <limits>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -134,6 +139,17 @@ TEST(StrategyRegistryTest, ValidatesParameters) {
   EXPECT_FALSE(registry.Create("islands", {{"islands", "0"}}).ok());
   EXPECT_FALSE(registry.Create("islands", {{"migration_interval", "0"}}).ok());
   EXPECT_FALSE(registry.Create("islands", {{"migrants", "-1"}}).ok());
+  // Values past INT_MAX are rejected, not narrowed: a migration_interval of
+  // 2^31 would wrap negative and the run would never end.
+  EXPECT_FALSE(
+      registry.Create("islands", {{"migration_interval", "2147483648"}}).ok());
+  EXPECT_FALSE(registry.Create("islands", {{"migrants", "2147483648"}}).ok());
+  EXPECT_FALSE(
+      registry.Create("steady_state", {{"lambda", "4294967297"}}).ok());
+  EXPECT_TRUE(registry
+                  .Create("islands", {{"migration_interval", "2147483647"},
+                                      {"migrants", "2147483647"}})
+                  .ok());
   // The retired schedule knob is an unknown parameter.
   auto parallel = registry.Create("islands", {{"parallel", "true"}});
   ASSERT_FALSE(parallel.ok());
@@ -172,11 +188,76 @@ TEST(GenerationalStrategyTest, BitIdenticalToEngine) {
   ExpectIdenticalResults(via_strategy, via_engine);
 }
 
+TEST(SteadyStateStrategyTest, LambdaOneIsGenerational) {
+  // steady_state runs the generational step with lambda offspring batches,
+  // so at lambda 1 it is the generational strategy under another name: the
+  // same history, population, counters and evaluator calls. One run is
+  // mutation-heavy; the other is crossover-heavy with a two-member leader
+  // group, so it self-mates often (unscored in both).
+  StrategyFixture fixture;
+  struct Case {
+    double mutation_rate;
+    int leader_group_size;
+    int generations;
+    uint64_t ga_seed;
+    uint64_t population_seed;
+  };
+  const Case cases[] = {{0.9, 10, 60, 5, 3}, {0.1, 2, 40, 8, 4}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("mutation_rate " + std::to_string(c.mutation_rate));
+    core::GaConfig config;
+    config.mutation_rate = c.mutation_rate;
+    config.leader_group_size = c.leader_group_size;
+    config.generations = c.generations;
+    config.seed = c.ga_seed;
+    auto run = [&](const std::string& name, const ParamMap& params) {
+      auto strategy =
+          StrategyRegistry::Global().Create(name, params).ValueOrDie();
+      const int64_t before = fixture.evaluator->num_evaluations();
+      auto result = std::move(strategy->Run(
+                                  fixture.evaluator.get(), config,
+                                  fixture.SeedPopulation(c.population_seed),
+                                  nullptr))
+                        .ValueOrDie();
+      return std::make_pair(std::move(result),
+                            fixture.evaluator->num_evaluations() - before);
+    };
+    auto [generational, generational_evaluations] = run("generational", {});
+    auto [steady, steady_evaluations] =
+        run("steady_state", {{"lambda", "1"}});
+    ExpectIdenticalResults(generational, steady);
+    EXPECT_EQ(generational_evaluations, steady_evaluations);
+    for (size_t i = 0; i < generational.history.size(); ++i) {
+      EXPECT_EQ(generational.history[i].min_score,
+                steady.history[i].min_score);
+      EXPECT_EQ(generational.history[i].mean_score,
+                steady.history[i].mean_score);
+      EXPECT_EQ(generational.history[i].evaluations,
+                steady.history[i].evaluations);
+    }
+    ASSERT_EQ(generational.population.size(), steady.population.size());
+    for (size_t i = 0; i < generational.population.size(); ++i) {
+      EXPECT_EQ(generational.population[i].id, steady.population[i].id);
+      EXPECT_EQ(generational.population[i].score(),
+                steady.population[i].score());
+    }
+    EXPECT_EQ(generational.stats.accepted_mutations,
+              steady.stats.accepted_mutations);
+    EXPECT_EQ(generational.stats.accepted_crossovers,
+              steady.stats.accepted_crossovers);
+    EXPECT_EQ(generational.stats.offspring_evaluated,
+              steady.stats.offspring_evaluated);
+    EXPECT_GT(steady.stats.accepted_mutations, 0);
+    EXPECT_GT(steady.stats.accepted_crossovers, 0);
+  }
+}
+
 TEST(SteadyStateStrategyTest, DeterministicAcross1And4Workers) {
   // Offspring of one slot are scored serially through that parent's state
-  // (ApplyDelta -> breakdown -> Revert) and accepted ones re-apply their
-  // delta; both schedules must agree bit for bit, and RunStrategy holds
-  // every final score to a from-scratch Evaluate.
+  // in plan order (reverting the previous offspring first), and the last
+  // one stays applied until replacement keeps or reverts it; both schedules
+  // must agree bit for bit, and RunStrategy holds every final score to a
+  // from-scratch Evaluate.
   StrategyFixture fixture;
   struct Case {
     const char* lambda;
@@ -394,6 +475,28 @@ TEST(StrategyTest, EveryStrategyHonorsPresetCancel) {
   std::atomic<bool> cancel{true};
   for (const std::string& name : StrategyRegistry::Global().Names()) {
     auto strategy = StrategyRegistry::Global().Create(name).ValueOrDie();
+    auto result = strategy->Run(fixture.evaluator.get(), config,
+                                fixture.SeedPopulation(21), &cancel);
+    EXPECT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << name;
+  }
+}
+
+TEST(StrategyTest, EveryStrategyCancelsAnInt32MaxBudget) {
+  // A budget of INT32_MAX generations reserves nothing up front, so a run
+  // cancelled mid-way returns Cancelled instead of aborting on a history
+  // reservation of that size.
+  StrategyFixture fixture;
+  core::GaConfig config;
+  config.generations = std::numeric_limits<int>::max();
+  for (const std::string& name : StrategyRegistry::Global().Names()) {
+    auto strategy = StrategyRegistry::Global().Create(name).ValueOrDie();
+    std::atomic<bool> cancel{false};
+    // The future's destructor waits for the canceller, even if Run throws.
+    auto canceller = std::async(std::launch::async, [&cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      cancel.store(true);
+    });
     auto result = strategy->Run(fixture.evaluator.get(), config,
                                 fixture.SeedPopulation(21), &cancel);
     EXPECT_FALSE(result.ok()) << name;

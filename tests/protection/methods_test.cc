@@ -9,6 +9,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "protection/population_builder.h"
 #include "protection/pram.h"
 #include "protection/rank_swapping.h"
+#include "protection/registry.h"
 
 namespace evocat {
 namespace protection {
@@ -443,6 +445,29 @@ TEST(MethodValidationTest, CommonErrors) {
   EXPECT_FALSE(method.Protect(original, {0, 0}, &rng).ok());      // duplicate
   Dataset empty = BuildDataset({{"A", AttrKind::kNominal, 2}}, {});
   EXPECT_FALSE(method.Protect(empty, {0}, &rng).ok());            // no rows
+}
+
+TEST(MethodRegistryTest, RejectsIntegerParametersOutsideInt) {
+  // Integer parameters are read as int: a value outside int is an error
+  // naming the field, not a silent wrap (k 4294967299 would run as k = 3,
+  // and k -4294967293 too). Range checks inside int stay Protect-time.
+  MethodRegistry& registry = MethodRegistry::Global();
+  const std::pair<const char*, const char*> fields[] = {
+      {"microaggregation", "k"},
+      {"globalrecoding", "group_size"},
+      {"hierarchicalrecoding", "level"},
+      {"hierarchicalrecoding", "fanout"}};
+  for (const auto& [method, key] : fields) {
+    const std::string field = std::string(method) + "." + key;
+    for (const char* value :
+         {"2147483648", "4294967299", "-2147483649", "-4294967293"}) {
+      auto created = registry.Create(method, {{key, value}});
+      ASSERT_FALSE(created.ok()) << field << " = " << value;
+      EXPECT_NE(created.status().message().find(field), std::string::npos)
+          << created.status().message();
+    }
+    EXPECT_TRUE(registry.Create(method, {{key, "2147483647"}}).ok()) << field;
+  }
 }
 
 class AllMethodsPropertyTest : public ::testing::TestWithParam<size_t> {
