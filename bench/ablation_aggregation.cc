@@ -24,7 +24,6 @@ int main() {
       "series,aggregation,il_weight,final_mean,final_balance,front_size,"
       "hypervolume\n");
 
-  auto dataset_case = experiments::CaseByName("adult").ValueOrDie();
   struct Setting {
     metrics::ScoreAggregation aggregation;
     double il_weight;
@@ -37,20 +36,20 @@ int main() {
       {metrics::ScoreAggregation::kWeighted, 0.75},  // utility-tilted
   };
   for (const auto& setting : settings) {
-    auto options =
-        bench::BenchOptions(setting.aggregation, /*generations=*/800);
-    options.fitness.il_weight = setting.il_weight;
-    auto result = experiments::RunExperiment(dataset_case, options);
+    api::JobSpec job =
+        bench::BenchSpec("adult", setting.aggregation, /*generations=*/800);
+    job.measures.il_weight = setting.il_weight;
+    auto result = api::Session().Run(job);
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
       return 1;
     }
-    const auto& experiment = result.ValueOrDie();
-    auto pareto = experiments::AnalyzePareto(experiment.final_population);
+    const api::RunArtifacts& run = result.ValueOrDie();
+    auto pareto = experiments::AnalyzePareto(run.final_population);
     std::printf("aggregation,%s,%.2f,%.2f,%.2f,%zu,%.4f\n",
                 metrics::ScoreAggregationToString(setting.aggregation),
-                setting.il_weight, experiment.final_scores.mean,
-                experiments::MeanImbalance(experiment.final_population),
+                setting.il_weight, run.final_scores.mean,
+                experiments::MeanImbalance(run.final_population),
                 pareto.front.size(), pareto.hypervolume);
   }
   return 0;

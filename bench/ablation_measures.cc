@@ -18,16 +18,19 @@ namespace {
 
 struct Variant {
   std::string name;
-  metrics::FitnessEvaluator::Options options;
+  /// `measures.enabled`: empty means all seven.
+  std::vector<std::string> enabled;
 };
 
 std::vector<Variant> Variants() {
   std::vector<Variant> variants;
   variants.push_back({"full", {}});
-  for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
-    metrics::FitnessEvaluator::Options options;
-    options.*measure.enabled = false;
-    variants.push_back({std::string("no_") + measure.key, options});
+  for (const metrics::FitnessMeasure& dropped : metrics::FitnessMeasures()) {
+    Variant variant{std::string("no_") + dropped.key, {}};
+    for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
+      if (&measure != &dropped) variant.enabled.push_back(measure.name);
+    }
+    variants.push_back(std::move(variant));
   }
   return variants;
 }
@@ -39,20 +42,20 @@ int main() {
   std::printf("# Ablation: drop-one-measure fitness on Adult, Eq.2 (max)\n");
   std::printf("series,variant,final_min_score,best_il,best_dr\n");
 
-  auto dataset_case = experiments::CaseByName("adult").ValueOrDie();
   for (const auto& variant : Variants()) {
-    auto options =
-        bench::BenchOptions(metrics::ScoreAggregation::kMax, /*generations=*/600);
-    options.fitness = variant.options;
-    auto result = experiments::RunExperiment(dataset_case, options);
+    api::JobSpec job = bench::BenchSpec(
+        "adult", metrics::ScoreAggregation::kMax, /*generations=*/600);
+    job.measures.enabled = variant.enabled;
+    auto result = api::Session().Run(job);
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
       return 1;
     }
-    const auto& experiment = result.ValueOrDie();
-    const auto& best = experiment.final_population.front();
+    const api::RunArtifacts& run = result.ValueOrDie();
+    const metrics::FitnessBreakdown& best =
+        run.final_population.front().fitness;
     std::printf("measures,%s,%.2f,%.2f,%.2f\n", variant.name.c_str(),
-                experiment.final_scores.min, best.il, best.dr);
+                run.final_scores.min, best.il, best.dr);
   }
   std::printf("# note: scores across variants are not directly comparable "
               "(different aggregates); compare the (IL, DR) landing zones.\n");

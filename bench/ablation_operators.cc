@@ -12,6 +12,7 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "experiments/report.h"
 
 using namespace evocat;
 
@@ -22,24 +23,23 @@ int main() {
       "series,mutation_rate,initial_mean,final_mean,mean_improve_pct,"
       "final_min,accepted_mutations,accepted_crossovers\n");
 
-  auto dataset_case = experiments::CaseByName("adult").ValueOrDie();
   for (double rate : {1.0, 0.5, 0.0}) {
-    auto options =
-        bench::BenchOptions(metrics::ScoreAggregation::kMax, /*generations=*/1000);
-    options.mutation_rate = rate;
-    auto result = experiments::RunExperiment(dataset_case, options);
+    api::JobSpec job = bench::BenchSpec(
+        "adult", metrics::ScoreAggregation::kMax, /*generations=*/1000);
+    job.ga.mutation_rate = rate;
+    auto result = api::Session().Run(job);
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
       return 1;
     }
-    const auto& experiment = result.ValueOrDie();
-    double improve = experiments::ExperimentResult::ImprovementPercent(
-        experiment.initial_scores.mean, experiment.final_scores.mean);
+    const api::RunArtifacts& run = result.ValueOrDie();
+    double improve = experiments::ImprovementPercent(run.initial_scores.mean,
+                                                     run.final_scores.mean);
     std::printf("operators,%.1f,%.2f,%.2f,%.2f,%.2f,%lld,%lld\n", rate,
-                experiment.initial_scores.mean, experiment.final_scores.mean,
-                improve, experiment.final_scores.min,
-                static_cast<long long>(experiment.stats.accepted_mutations),
-                static_cast<long long>(experiment.stats.accepted_crossovers));
+                run.initial_scores.mean, run.final_scores.mean, improve,
+                run.final_scores.min,
+                static_cast<long long>(run.stats.accepted_mutations),
+                static_cast<long long>(run.stats.accepted_crossovers));
   }
   return 0;
 }

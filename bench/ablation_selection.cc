@@ -1,4 +1,5 @@
-// Ablation: parent-selection strategies (DESIGN.md §2's Eq. 3 discussion).
+// Ablation: parent-selection strategies (the paper's Eq. 3; see
+// docs/reproduction.md).
 //
 // The paper's Eq. 3 literally favours HIGH (bad) scores; its text describes
 // the opposite. This bench runs the Flare/Eq.2 experiment under four
@@ -12,6 +13,7 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "experiments/report.h"
 
 using namespace evocat;
 
@@ -22,7 +24,6 @@ int main() {
       "series,strategy,initial_mean,final_mean,mean_improve_pct,final_min,"
       "final_max\n");
 
-  auto dataset_case = experiments::CaseByName("flare").ValueOrDie();
   const core::SelectionStrategy strategies[] = {
       core::SelectionStrategy::kInverseScore,
       core::SelectionStrategy::kLiteralScore,
@@ -30,22 +31,21 @@ int main() {
       core::SelectionStrategy::kUniform,
   };
   for (auto strategy : strategies) {
-    auto options =
-        bench::BenchOptions(metrics::ScoreAggregation::kMax, /*generations=*/1000);
-    options.selection = strategy;
-    auto result = experiments::RunExperiment(dataset_case, options);
+    api::JobSpec job = bench::BenchSpec(
+        "flare", metrics::ScoreAggregation::kMax, /*generations=*/1000);
+    job.ga.selection = strategy;
+    auto result = api::Session().Run(job);
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
       return 1;
     }
-    const auto& experiment = result.ValueOrDie();
-    double improve = experiments::ExperimentResult::ImprovementPercent(
-        experiment.initial_scores.mean, experiment.final_scores.mean);
+    const api::RunArtifacts& run = result.ValueOrDie();
+    double improve = experiments::ImprovementPercent(run.initial_scores.mean,
+                                                     run.final_scores.mean);
     std::printf("selection,%s,%.2f,%.2f,%.2f,%.2f,%.2f\n",
                 core::SelectionStrategyToString(strategy),
-                experiment.initial_scores.mean, experiment.final_scores.mean,
-                improve, experiment.final_scores.min,
-                experiment.final_scores.max);
+                run.initial_scores.mean, run.final_scores.mean, improve,
+                run.final_scores.min, run.final_scores.max);
   }
   return 0;
 }

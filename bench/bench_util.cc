@@ -1,10 +1,9 @@
 #include "bench_util.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
-
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/string_utils.h"
@@ -16,163 +15,96 @@
 namespace evocat {
 namespace bench {
 
-experiments::ExperimentOptions BenchOptions(metrics::ScoreAggregation aggregation,
-                                            int generations) {
-  experiments::ExperimentOptions options;
-  options.aggregation = aggregation;
-  options.generations = generations;
-  // Fixed seeds: every bench run regenerates identical series.
-  options.data_seed = 0xDA7A;
-  options.protection_seed = 0x9A5C;
-  options.ga_seed = 42;
-  return options;
+api::JobSpec BenchSpec(const std::string& case_name,
+                       metrics::ScoreAggregation aggregation, int generations) {
+  api::JobSpec spec;
+  spec.source.case_name = case_name;
+  spec.measures.aggregation = aggregation;
+  spec.ga.generations = generations;
+  spec.seeds.data = 0xDA7A;
+  spec.seeds.protection = 0x9A5C;
+  spec.seeds.ga = 42;
+  return spec;
 }
 
-namespace {
-
-std::string EscapeJson(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-JsonObject& JsonObject::Add(const std::string& key, double value) {
-  // Round-trip precision: the tracked metrics must reflect sub-1e-9 score
-  // differences across PRs.
-  entries_.emplace_back(key, StrFormat("%.17g", value));
-  return *this;
-}
-
-JsonObject& JsonObject::Add(const std::string& key, int64_t value) {
-  entries_.emplace_back(key, StrFormat("%lld", static_cast<long long>(value)));
-  return *this;
-}
-
-JsonObject& JsonObject::Add(const std::string& key, const std::string& value) {
-  entries_.emplace_back(key, "\"" + EscapeJson(value) + "\"");
-  return *this;
-}
-
-JsonObject& JsonObject::Add(const std::string& key, const JsonObject& object) {
-  entries_.emplace_back(key, object.ToString(/*indent=*/1));
-  return *this;
-}
-
-std::string JsonObject::ToString(int indent) const {
-  std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  std::string inner_pad = pad + "  ";
-  std::string out = "{";
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    out += (i == 0 ? "\n" : ",\n");
-    out += inner_pad + "\"" + EscapeJson(entries_[i].first) +
-           "\": " + entries_[i].second;
-  }
-  out += "\n" + pad + "}";
-  return out;
-}
-
-Status WriteJsonFile(const std::string& path, const JsonObject& object) {
+Status WriteJsonFile(const std::string& path, const api::JsonValue& json) {
   std::ofstream out(path);
   if (!out) {
     return Status::Internal("cannot open '", path, "' for writing");
   }
-  out << object.ToString() << "\n";
+  out << json.Dump(2) << "\n";
   out.close();  // surface buffered write errors before reporting success
   return out.fail() ? Status::Internal("short write to '", path, "'")
                     : Status::OK();
 }
 
-JsonObject EngineThroughputJson(const experiments::ExperimentResult& result) {
-  const auto& stats = result.stats;
-  int64_t generations = static_cast<int64_t>(result.history.size());
+api::JsonValue EngineThroughputJson(const api::RunArtifacts& run) {
+  using api::JsonValue;
+  const auto& stats = run.stats;
+  int64_t generations = static_cast<int64_t>(run.history.size());
   double gen_seconds =
       stats.mutation_total_seconds + stats.crossover_total_seconds;
   double eval_seconds =
       stats.mutation_eval_seconds + stats.crossover_eval_seconds;
-  JsonObject json;
-  json.Add("generations", generations)
-      .Add("offspring_evaluated", stats.offspring_evaluated)
-      .Add("generations_per_sec",
-           gen_seconds > 0 ? static_cast<double>(generations) / gen_seconds : 0.0)
-      .Add("evaluations_per_sec",
-           eval_seconds > 0
-               ? static_cast<double>(stats.offspring_evaluated) / eval_seconds
-               : 0.0)
-      .Add("initial_eval_seconds", stats.initial_eval_seconds)
-      .Add("mutation_eval_seconds", stats.mutation_eval_seconds)
-      .Add("crossover_eval_seconds", stats.crossover_eval_seconds)
-      .Add("total_seconds", stats.total_seconds)
-      .Add("final_min_score", result.final_scores.min)
-      .Add("final_mean_score", result.final_scores.mean);
+  JsonValue json = JsonValue::MakeObject();
+  json.Set("generations", JsonValue::MakeInt(generations));
+  json.Set("offspring_evaluated",
+           JsonValue::MakeInt(stats.offspring_evaluated));
+  json.Set("generations_per_sec",
+           JsonValue::MakeNumber(
+               gen_seconds > 0 ? static_cast<double>(generations) / gen_seconds
+                               : 0.0));
+  json.Set("evaluations_per_sec",
+           JsonValue::MakeNumber(
+               eval_seconds > 0
+                   ? static_cast<double>(stats.offspring_evaluated) /
+                         eval_seconds
+                   : 0.0));
+  json.Set("initial_eval_seconds",
+           JsonValue::MakeNumber(stats.initial_eval_seconds));
+  json.Set("mutation_eval_seconds",
+           JsonValue::MakeNumber(stats.mutation_eval_seconds));
+  json.Set("crossover_eval_seconds",
+           JsonValue::MakeNumber(stats.crossover_eval_seconds));
+  json.Set("total_seconds", JsonValue::MakeNumber(stats.total_seconds));
+  json.Set("final_min_score", JsonValue::MakeNumber(run.final_scores.min));
+  json.Set("final_mean_score", JsonValue::MakeNumber(run.final_scores.mean));
   return json;
 }
 
 int RunFigureBench(const FigureSpec& spec) {
   SetLogLevel(LogLevel::kWarning);
+  const api::JobSpec& job = spec.job;
+  const char* aggregation =
+      metrics::ScoreAggregationToString(job.measures.aggregation);
   std::printf("# %s\n", spec.title.c_str());
-  std::printf("# dataset=%s aggregation=%s generations=%d", spec.dataset.c_str(),
-              metrics::ScoreAggregationToString(spec.aggregation),
-              spec.generations);
-  if (spec.remove_best_fraction > 0) {
-    std::printf(" remove_best=%.0f%%", spec.remove_best_fraction * 100);
+  std::printf("# dataset=%s aggregation=%s generations=%d",
+              job.source.case_name.c_str(), aggregation, job.ga.generations);
+  if (job.remove_best_fraction > 0) {
+    std::printf(" remove_best=%.0f%%", job.remove_best_fraction * 100);
   }
   std::printf("\n");
   if (!spec.paper_notes.empty()) {
     std::printf("# paper: %s\n", spec.paper_notes.c_str());
   }
 
-  auto dataset_case = experiments::CaseByName(spec.dataset);
-  if (!dataset_case.ok()) {
-    std::cerr << dataset_case.status().ToString() << "\n";
-    return 1;
-  }
-  auto options = BenchOptions(spec.aggregation, spec.generations);
-  options.remove_best_fraction = spec.remove_best_fraction;
-
   Timer timer;
-  auto result = experiments::RunExperiment(dataset_case.ValueOrDie(), options);
+  auto result = api::Session().Run(job);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;
   }
-  const auto& experiment = result.ValueOrDie();
+  const api::RunArtifacts& run = result.ValueOrDie();
 
-  experiments::PrintDispersionCsv(experiment, std::cout);
-  experiments::PrintEvolutionCsv(experiment, std::cout);
+  experiments::PrintDispersionCsv(run, std::cout);
+  experiments::PrintEvolutionCsv(run, std::cout);
   std::printf("# measured:\n");
-  experiments::PrintImprovementSummary(experiment, std::cout);
+  experiments::PrintImprovementSummary(run, std::cout);
 
   // Multi-objective view of the dispersion clouds: the final front should
   // dominate more area than the initial one.
-  auto initial_pareto = experiments::AnalyzePareto(experiment.initial);
-  auto final_pareto = experiments::AnalyzePareto(experiment.final_population);
+  auto initial_pareto = experiments::AnalyzePareto(run.initial);
+  auto final_pareto = experiments::AnalyzePareto(run.final_population);
   std::printf("pareto,initial,front=%zu,hypervolume=%.4f\n",
               initial_pareto.front.size(), initial_pareto.hypervolume);
   std::printf("pareto,final,front=%zu,hypervolume=%.4f\n",
@@ -180,13 +112,12 @@ int RunFigureBench(const FigureSpec& spec) {
 
   // Optional: render the actual figures (paper-style SVGs).
   if (const char* svg_dir = std::getenv("EVOCAT_SVG_DIR")) {
-    std::string stem = spec.dataset + "_" +
-                       metrics::ScoreAggregationToString(spec.aggregation);
-    if (spec.remove_best_fraction > 0) {
-      stem += StrFormat("_rob%.0f", spec.remove_best_fraction * 100);
+    std::string stem = job.source.case_name + "_" + aggregation;
+    if (job.remove_best_fraction > 0) {
+      stem += StrFormat("_rob%.0f", job.remove_best_fraction * 100);
     }
-    Status svg_status = experiments::WriteFigureSvgs(experiment, spec.title,
-                                                     svg_dir, stem);
+    Status svg_status =
+        experiments::WriteFigureSvgs(run, spec.title, svg_dir, stem);
     if (!svg_status.ok()) {
       std::cerr << svg_status.ToString() << "\n";
     } else {

@@ -13,25 +13,28 @@
 #define EVOCAT_BENCH_BENCH_UTIL_H_
 
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "common/result.h"
-#include "experiments/runner.h"
+#include "api/json.h"
+#include "api/session.h"
+#include "common/status.h"
 
 namespace evocat {
 namespace bench {
 
-/// \brief Declarative description of one figure-reproduction run.
+/// \brief The benches' base job: the named paper case ("housing" | "german"
+/// | "flare" | "adult") under `aggregation`, with the three stage seeds
+/// pinned (data 0xDA7A, protection 0x9A5C, GA 42) so every bench run
+/// regenerates identical series.
+api::JobSpec BenchSpec(const std::string& case_name,
+                       metrics::ScoreAggregation aggregation, int generations);
+
+/// \brief One figure-reproduction run: the job plus how to label it.
 struct FigureSpec {
   /// e.g. "Figures 1-2: Adult dataset, fitness Eq.1 (mean)".
   std::string title;
-  /// Case name: housing | german | flare | adult.
-  std::string dataset;
-  metrics::ScoreAggregation aggregation = metrics::ScoreAggregation::kMean;
-  /// Robustness experiment: fraction of best seeds removed.
-  double remove_best_fraction = 0.0;
-  int generations = 400;
+  /// Usually `BenchSpec(...)`, plus `remove_best_fraction` for the
+  /// robustness figures.
+  api::JobSpec job;
   /// The paper's reported numbers for this artifact (free text, printed in
   /// the header so paper-vs-measured is visible in the raw output).
   std::string paper_notes;
@@ -40,33 +43,13 @@ struct FigureSpec {
 /// \brief Runs the spec and prints all series; returns a process exit code.
 int RunFigureBench(const FigureSpec& spec);
 
-/// \brief Shared experiment defaults for bench binaries (fixed seeds).
-experiments::ExperimentOptions BenchOptions(metrics::ScoreAggregation aggregation,
-                                            int generations);
+/// \brief Writes `json` to `path` (overwrites), pretty-printed with a
+/// trailing newline. Non-finite numbers come out as `null`.
+Status WriteJsonFile(const std::string& path, const api::JsonValue& json);
 
-/// \brief Minimal ordered JSON object writer for machine-readable bench
-/// summaries (`BENCH_engine.json`). Keys keep insertion order; values are
-/// numbers, strings, or nested objects.
-class JsonObject {
- public:
-  JsonObject& Add(const std::string& key, double value);
-  JsonObject& Add(const std::string& key, int64_t value);
-  JsonObject& Add(const std::string& key, const std::string& value);
-  JsonObject& Add(const std::string& key, const JsonObject& object);
-
-  /// \brief Serializes with 2-space indentation.
-  std::string ToString(int indent = 0) const;
-
- private:
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
-
-/// \brief Writes `object` to `path` (overwrites), trailing newline included.
-Status WriteJsonFile(const std::string& path, const JsonObject& object);
-
-/// \brief Per-run engine throughput numbers derived from an experiment
-/// result — the stable schema tracked in BENCH_engine.json across PRs.
-JsonObject EngineThroughputJson(const experiments::ExperimentResult& result);
+/// \brief Per-run engine throughput numbers derived from a job's artifacts —
+/// the stable schema tracked in BENCH_engine.json across PRs.
+api::JsonValue EngineThroughputJson(const api::RunArtifacts& run);
 
 }  // namespace bench
 }  // namespace evocat

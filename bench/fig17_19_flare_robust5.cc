@@ -1,15 +1,14 @@
 // Reproduces Figures 17+19: Flare, Eq.2 (max), best 5% removed of Marés & Torra, PAIS/EDBT 2012.
-// See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for results.
+// See docs/reproduction.md for every paper artifact and how to run it.
 
 #include "bench_util.h"
 
 int main() {
   evocat::bench::FigureSpec spec;
   spec.title = "Figures 17+19: Flare, Eq.2 (max), best 5% removed";
-  spec.dataset = "flare";
-  spec.aggregation = evocat::metrics::ScoreAggregation::kMax;
-  spec.remove_best_fraction = 0.05;
-  spec.generations = 2000;
+  spec.job = evocat::bench::BenchSpec(
+      "flare", evocat::metrics::ScoreAggregation::kMax, 2000);
+  spec.job.remove_best_fraction = 0.05;
   spec.paper_notes =
       "reaches min 32.96, 1.33 points above the full-population min (31.63)";
   return evocat::bench::RunFigureBench(spec);

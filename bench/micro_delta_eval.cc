@@ -59,9 +59,11 @@
 #include "metrics/interval_disclosure.h"
 #include "metrics/prl.h"
 #include "metrics/rsrl.h"
+#include "protection/population_builder.h"
 #include "protection/pram.h"
 
 using namespace evocat;
+using api::JsonValue;
 
 namespace {
 
@@ -165,7 +167,7 @@ ScaleMeasures() {
 }
 
 struct ScaleResult {
-  bench::JsonObject json;
+  JsonValue json = JsonValue::MakeObject();
   double max_abs_diff = 0.0;
 };
 
@@ -255,7 +257,7 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
   ScaleResult result;
   std::printf("# scale scenario: rows=%lld\n", static_cast<long long>(rows));
   std::printf("scale_measure,rebuild_ms,delta_ms,speedup,max_abs_diff\n");
-  bench::JsonObject measures_json;
+  JsonValue measures_json = JsonValue::MakeObject();
   double rebuild_total = 0.0, delta_total = 0.0;
   std::vector<std::string> leg_lines;
   for (const auto& [name, measure] : ScaleMeasures()) {
@@ -275,12 +277,13 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
     std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(),
                 rebuild.step_seconds * 1e3, delta.step_seconds * 1e3, speedup,
                 diff);
-    bench::JsonObject one;
-    one.Add("rebuild_eval_seconds", rebuild.step_seconds)
-        .Add("delta_eval_seconds", delta.step_seconds)
-        .Add("speedup", speedup)
-        .Add("max_abs_diff", diff);
-    bench::JsonObject legs_json;
+    JsonValue one = JsonValue::MakeObject();
+    one.Set("rebuild_eval_seconds",
+            JsonValue::MakeNumber(rebuild.step_seconds));
+    one.Set("delta_eval_seconds", JsonValue::MakeNumber(delta.step_seconds));
+    one.Set("speedup", JsonValue::MakeNumber(speedup));
+    one.Set("max_abs_diff", JsonValue::MakeNumber(diff));
+    JsonValue legs_json = JsonValue::MakeObject();
     for (size_t l = 0; l < legs.size(); ++l) {
       size_t score = steps.size() + l;
       double leg_diff =
@@ -292,18 +295,20 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
                     rebuild.leg_seconds[l] * 1e3, delta.leg_seconds[l] * 1e3,
                     delta.leg_rebuilt[l] ? "rebuild" : "delta", leg_diff);
       leg_lines.push_back(line);
-      bench::JsonObject leg_json;
-      leg_json.Add("cells", delta.leg_cells[l])
-          .Add("rebuild_eval_seconds", rebuild.leg_seconds[l])
-          .Add("own_path_eval_seconds", delta.leg_seconds[l])
-          .Add("own_path", std::string(delta.leg_rebuilt[l] ? "rebuild"
-                                                            : "delta"))
-          .Add("max_abs_diff", leg_diff);
-      legs_json.Add("leg_" + std::to_string(legs[l].percent) + "pct",
-                    leg_json);
+      JsonValue leg_json = JsonValue::MakeObject();
+      leg_json.Set("cells", JsonValue::MakeInt(delta.leg_cells[l]));
+      leg_json.Set("rebuild_eval_seconds",
+                   JsonValue::MakeNumber(rebuild.leg_seconds[l]));
+      leg_json.Set("own_path_eval_seconds",
+                   JsonValue::MakeNumber(delta.leg_seconds[l]));
+      leg_json.Set("own_path", JsonValue::MakeString(
+                                   delta.leg_rebuilt[l] ? "rebuild" : "delta"));
+      leg_json.Set("max_abs_diff", JsonValue::MakeNumber(leg_diff));
+      legs_json.Set("leg_" + std::to_string(legs[l].percent) + "pct",
+                    std::move(leg_json));
     }
-    one.Add("legs", legs_json);
-    measures_json.Add(name, one);
+    one.Set("legs", std::move(legs_json));
+    measures_json.Set(name, std::move(one));
   }
   std::printf("scale_leg,measure,leg,cells,rebuild_ms,own_path_ms,own_path,"
               "max_abs_diff\n");
@@ -315,12 +320,12 @@ ScaleResult RunScaleScenario(int64_t rows, int num_steps) {
               "speedup=%.2fx,max_abs_diff=%.3g\n",
               static_cast<long long>(rows), rebuild_total * 1e3,
               delta_total * 1e3, speedup, result.max_abs_diff);
-  result.json.Add("rows", rows)
-      .Add("measures", measures_json)
-      .Add("rebuild_eval_seconds", rebuild_total)
-      .Add("delta_eval_seconds", delta_total)
-      .Add("speedup", speedup)
-      .Add("max_abs_diff", result.max_abs_diff);
+  result.json.Set("rows", JsonValue::MakeInt(rows));
+  result.json.Set("measures", std::move(measures_json));
+  result.json.Set("rebuild_eval_seconds", JsonValue::MakeNumber(rebuild_total));
+  result.json.Set("delta_eval_seconds", JsonValue::MakeNumber(delta_total));
+  result.json.Set("speedup", JsonValue::MakeNumber(speedup));
+  result.json.Set("max_abs_diff", JsonValue::MakeNumber(result.max_abs_diff));
   return result;
 }
 
@@ -377,7 +382,7 @@ int main(int argc, char** argv) {
   const int kSteps = quick ? 16 : 40;
   auto steps = DrawMutations(masked, attrs, kSteps, 0xD17A);
 
-  bench::JsonObject measures_json;
+  JsonValue measures_json = JsonValue::MakeObject();
   bool all_within_tolerance = true;
   double dbrl_speedup = 0.0;
   std::vector<std::unique_ptr<metrics::BoundMeasure>> bounds;
@@ -387,12 +392,14 @@ int main(int argc, char** argv) {
     std::printf("%s,%.4f,%.4f,%.1fx,%.3g\n", name.c_str(),
                 timing.full_eval_seconds * 1e3, timing.delta_eval_seconds * 1e3,
                 timing.speedup, timing.max_abs_diff);
-    bench::JsonObject one;
-    one.Add("full_eval_seconds", timing.full_eval_seconds)
-        .Add("delta_eval_seconds", timing.delta_eval_seconds)
-        .Add("speedup", timing.speedup)
-        .Add("max_abs_diff", timing.max_abs_diff);
-    measures_json.Add(name, one);
+    JsonValue one = JsonValue::MakeObject();
+    one.Set("full_eval_seconds",
+            JsonValue::MakeNumber(timing.full_eval_seconds));
+    one.Set("delta_eval_seconds",
+            JsonValue::MakeNumber(timing.delta_eval_seconds));
+    one.Set("speedup", JsonValue::MakeNumber(timing.speedup));
+    one.Set("max_abs_diff", JsonValue::MakeNumber(timing.max_abs_diff));
+    measures_json.Set(name, std::move(one));
     all_within_tolerance = all_within_tolerance && timing.max_abs_diff <= 1e-9;
     if (name == "DBRL") dbrl_speedup = timing.speedup;
   }
@@ -559,13 +566,16 @@ int main(int argc, char** argv) {
       static_cast<long long>(prl_rows), prl_full_s * 1e3, prl_rebuild_s * 1e3,
       prl_delta_s * 1e3, prl_vs_full, prl_vs_rebuild, prl_diff);
 
-  // Engine end to end: the paper's experiment on the delta path.
-  auto dataset_case = experiments::AdultCase();
-  dataset_case.profile.num_records = rows;
-  auto options = bench::BenchOptions(metrics::ScoreAggregation::kMean,
-                                     engine_generations);
-  auto engine_run =
-      std::move(experiments::RunExperiment(dataset_case, options)).ValueOrDie();
+  // Engine end to end: the paper's Adult job on the delta path, at `rows`
+  // records (an inline profile, so the roster is the Adult mix spelled out).
+  api::JobSpec engine_job = bench::BenchSpec(
+      "adult", metrics::ScoreAggregation::kMean, engine_generations);
+  engine_job.source.has_inline_profile = true;
+  engine_job.source.profile = datagen::AdultProfile();
+  engine_job.source.profile.num_records = rows;
+  engine_job.methods =
+      api::RosterFromPopulationSpec(protection::AdultPopulationSpec());
+  auto engine_run = api::Session().Run(engine_job).ValueOrDie();
   double engine_seconds = engine_run.stats.mutation_total_seconds +
                           engine_run.stats.crossover_total_seconds;
   double engine_gens_per_sec =
@@ -575,61 +585,67 @@ int main(int argc, char** argv) {
   std::printf("engine,gens_per_sec=%.2f,final_min=%.4f\n",
               engine_gens_per_sec, engine_run.final_scores.min);
 
-  bench::JsonObject json;
-  json.Add("bench", std::string("micro_delta_eval"))
-      .Add("dataset", dataset_case.profile.name)
-      .Add("rows", rows)
-      .Add("protected_attrs", static_cast<int64_t>(attrs.size()));
-  bench::JsonObject fitness_json;
-  fitness_json.Add("full_eval_seconds", fitness_full_s)
-      .Add("delta_eval_seconds", fitness_delta_s)
-      .Add("speedup", fitness_speedup)
-      .Add("max_abs_diff", fitness_diff);
-  bench::JsonObject segment_json;
-  segment_json.Add("rebuild_eval_seconds", seg_old_s)
-      .Add("segment_eval_seconds", seg_new_s)
-      .Add("speedup", seg_speedup)
-      .Add("max_abs_diff", seg_diff);
-  bench::JsonObject prl_wide_json;
-  prl_wide_json.Add("attrs", static_cast<int64_t>(12))
-      .Add("rows", prl_rows)
-      .Add("full_eval_seconds", prl_full_s)
-      .Add("rebuild_eval_seconds", prl_rebuild_s)
-      .Add("delta_eval_seconds", prl_delta_s)
-      .Add("speedup_vs_full", prl_vs_full)
-      .Add("speedup_vs_rebuild", prl_vs_rebuild)
-      .Add("max_abs_diff", prl_diff);
-  json.Add("measures", measures_json)
-      .Add("fitness", fitness_json)
-      .Add("crossover_segment", segment_json)
-      .Add("prl_wide", prl_wide_json)
-      .Add("engine_incremental", bench::EngineThroughputJson(engine_run));
+  JsonValue json = JsonValue::MakeObject();
+  json.Set("bench", JsonValue::MakeString("micro_delta_eval"));
+  json.Set("dataset", JsonValue::MakeString(engine_run.dataset));
+  json.Set("rows", JsonValue::MakeInt(rows));
+  json.Set("protected_attrs",
+           JsonValue::MakeInt(static_cast<int64_t>(attrs.size())));
+  JsonValue fitness_json = JsonValue::MakeObject();
+  fitness_json.Set("full_eval_seconds", JsonValue::MakeNumber(fitness_full_s));
+  fitness_json.Set("delta_eval_seconds",
+                   JsonValue::MakeNumber(fitness_delta_s));
+  fitness_json.Set("speedup", JsonValue::MakeNumber(fitness_speedup));
+  fitness_json.Set("max_abs_diff", JsonValue::MakeNumber(fitness_diff));
+  JsonValue segment_json = JsonValue::MakeObject();
+  segment_json.Set("rebuild_eval_seconds", JsonValue::MakeNumber(seg_old_s));
+  segment_json.Set("segment_eval_seconds", JsonValue::MakeNumber(seg_new_s));
+  segment_json.Set("speedup", JsonValue::MakeNumber(seg_speedup));
+  segment_json.Set("max_abs_diff", JsonValue::MakeNumber(seg_diff));
+  JsonValue prl_wide_json = JsonValue::MakeObject();
+  prl_wide_json.Set("attrs", JsonValue::MakeInt(12));
+  prl_wide_json.Set("rows", JsonValue::MakeInt(prl_rows));
+  prl_wide_json.Set("full_eval_seconds", JsonValue::MakeNumber(prl_full_s));
+  prl_wide_json.Set("rebuild_eval_seconds",
+                    JsonValue::MakeNumber(prl_rebuild_s));
+  prl_wide_json.Set("delta_eval_seconds", JsonValue::MakeNumber(prl_delta_s));
+  prl_wide_json.Set("speedup_vs_full", JsonValue::MakeNumber(prl_vs_full));
+  prl_wide_json.Set("speedup_vs_rebuild",
+                    JsonValue::MakeNumber(prl_vs_rebuild));
+  prl_wide_json.Set("max_abs_diff", JsonValue::MakeNumber(prl_diff));
+  json.Set("measures", std::move(measures_json));
+  json.Set("fitness", std::move(fitness_json));
+  json.Set("crossover_segment", std::move(segment_json));
+  json.Set("prl_wide", std::move(prl_wide_json));
+  json.Set("engine_incremental", bench::EngineThroughputJson(engine_run));
 
   // Process-wide telemetry counters (fresh process, so totals == this run):
   // delta traffic plus the per-measure rebuild fallbacks that the cost model
   // is supposed to keep rare.
   {
     const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    bench::JsonObject counters_json;
-    counters_json
-        .Add("delta_applies",
-             registry.CounterValue("evocat_delta_applies_total"))
-        .Add("delta_reverts",
-             registry.CounterValue("evocat_delta_reverts_total"));
+    JsonValue counters_json = JsonValue::MakeObject();
+    counters_json.Set("delta_applies",
+                      JsonValue::MakeInt(registry.CounterValue(
+                          "evocat_delta_applies_total")));
+    counters_json.Set("delta_reverts",
+                      JsonValue::MakeInt(registry.CounterValue(
+                          "evocat_delta_reverts_total")));
     int64_t fallbacks = 0;
-    bench::JsonObject fallback_json;
+    JsonValue fallback_json = JsonValue::MakeObject();
     for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
       int64_t value = registry.CounterValue("evocat_rebuild_fallbacks_total",
                                             {{"measure", measure.key}});
-      fallback_json.Add(measure.key, value);
+      fallback_json.Set(measure.key, JsonValue::MakeInt(value));
       fallbacks += value;
     }
     // PRL EM fits (every fit runs the cold schedule).
-    counters_json.Add("rebuild_fallbacks_total", fallbacks)
-        .Add("rebuild_fallbacks", fallback_json)
-        .Add("em_cold_starts",
-             registry.CounterValue("evocat_delta_plane_em_cold_starts_total"));
-    json.Add("counters", counters_json);
+    counters_json.Set("rebuild_fallbacks_total", JsonValue::MakeInt(fallbacks));
+    counters_json.Set("rebuild_fallbacks", std::move(fallback_json));
+    counters_json.Set("em_cold_starts",
+                      JsonValue::MakeInt(registry.CounterValue(
+                          "evocat_delta_plane_em_cold_starts_total")));
+    json.Set("counters", std::move(counters_json));
   }
 
   // Gated 100k- and 1M-row scenarios: delta path against forced rebuilds,
@@ -638,7 +654,8 @@ int main(int argc, char** argv) {
   if (scale) {
     scale_100k = RunScaleScenario(100000, quick ? 6 : 12);
     scale_1m = RunScaleScenario(1000000, quick ? 4 : 8);
-    json.Add("scale_100k", scale_100k.json).Add("scale_1m", scale_1m.json);
+    json.Set("scale_100k", std::move(scale_100k.json));
+    json.Set("scale_1m", std::move(scale_1m.json));
   }
 
   const char* json_path = std::getenv("EVOCAT_BENCH_JSON");

@@ -20,6 +20,7 @@
 #include "obs/trace.h"
 
 using namespace evocat;
+using api::JsonValue;
 
 namespace {
 
@@ -123,15 +124,15 @@ int main() {
               static_cast<long long>(generations),
               static_cast<long long>(applies));
 
-  bench::JsonObject summary;
-  summary.Add("reps", static_cast<int64_t>(kReps));
-  summary.Add("disabled_seconds", off_seconds);
-  summary.Add("enabled_seconds", on_seconds);
-  summary.Add("overhead", overhead);
-  summary.Add("overhead_gate", kMaxOverhead);
-  summary.Add("bit_identical", std::string("true"));
-  summary.Add("generations_counted", generations);
-  summary.Add("delta_applies_counted", applies);
+  JsonValue summary = JsonValue::MakeObject();
+  summary.Set("reps", JsonValue::MakeInt(kReps));
+  summary.Set("disabled_seconds", JsonValue::MakeNumber(off_seconds));
+  summary.Set("enabled_seconds", JsonValue::MakeNumber(on_seconds));
+  summary.Set("overhead", JsonValue::MakeNumber(overhead));
+  summary.Set("overhead_gate", JsonValue::MakeNumber(kMaxOverhead));
+  summary.Set("bit_identical", JsonValue::MakeString("true"));
+  summary.Set("generations_counted", JsonValue::MakeInt(generations));
+  summary.Set("delta_applies_counted", JsonValue::MakeInt(applies));
   Status status = bench::WriteJsonFile("BENCH_obs.json", summary);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());

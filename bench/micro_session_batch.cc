@@ -33,6 +33,7 @@
 #include "datagen/profile.h"
 
 using namespace evocat;
+using api::JsonValue;
 
 namespace {
 
@@ -120,12 +121,15 @@ int main(int argc, char** argv) {
     double serial_seconds = 0.0, pool_seconds = 0.0;
     if (!RunScaleScenario(&serial_seconds, &pool_seconds)) return 1;
     int64_t workers = TaskScheduler::Shared().num_workers();
-    bench::JsonObject summary;
-    summary.Add("scale_100k_one_worker_seconds", serial_seconds);
-    summary.Add("scale_100k_shared_pool_seconds", pool_seconds);
-    summary.Add("scale_100k_shared_pool_workers", workers);
-    summary.Add("scale_100k_speedup",
-                pool_seconds > 0 ? serial_seconds / pool_seconds : 0.0);
+    JsonValue summary = JsonValue::MakeObject();
+    summary.Set("scale_100k_one_worker_seconds",
+                JsonValue::MakeNumber(serial_seconds));
+    summary.Set("scale_100k_shared_pool_seconds",
+                JsonValue::MakeNumber(pool_seconds));
+    summary.Set("scale_100k_shared_pool_workers", JsonValue::MakeInt(workers));
+    summary.Set("scale_100k_speedup",
+                JsonValue::MakeNumber(
+                    pool_seconds > 0 ? serial_seconds / pool_seconds : 0.0));
     Status status = bench::WriteJsonFile("BENCH_session.json", summary);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -265,31 +269,33 @@ int main(int argc, char** argv) {
       kJobs - 1, skew_serial_seconds, stealing_seconds, skew_speedup,
       static_cast<long long>(steals));
 
-  bench::JsonObject summary;
-  summary.Add("jobs", static_cast<int64_t>(kJobs));
-  summary.Add("hardware_threads", static_cast<int64_t>(threads));
-  summary.Add("serial_seconds", serial_seconds);
-  summary.Add("batch_seconds", batch_seconds);
-  summary.Add("batch_speedup", speedup);
-  summary.Add("skewed_serial_seconds", skew_serial_seconds);
-  summary.Add("skewed_work_stealing_seconds", stealing_seconds);
-  summary.Add("skewed_speedup", skew_speedup);
-  summary.Add("skewed_stolen_subtasks", steals);
+  JsonValue summary = JsonValue::MakeObject();
+  summary.Set("jobs", JsonValue::MakeInt(kJobs));
+  summary.Set("hardware_threads", JsonValue::MakeInt(threads));
+  summary.Set("serial_seconds", JsonValue::MakeNumber(serial_seconds));
+  summary.Set("batch_seconds", JsonValue::MakeNumber(batch_seconds));
+  summary.Set("batch_speedup", JsonValue::MakeNumber(speedup));
+  summary.Set("skewed_serial_seconds",
+              JsonValue::MakeNumber(skew_serial_seconds));
+  summary.Set("skewed_work_stealing_seconds",
+              JsonValue::MakeNumber(stealing_seconds));
+  summary.Set("skewed_speedup", JsonValue::MakeNumber(skew_speedup));
+  summary.Set("skewed_stolen_subtasks", JsonValue::MakeInt(steals));
   // Telemetry-plane counters (fresh process: totals == this bench's runs).
   {
     const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    summary.Add("csv_cache_hits",
-                registry.CounterValue("evocat_csv_cache_hits_total"));
-    summary.Add("csv_cache_misses",
-                registry.CounterValue("evocat_csv_cache_misses_total"));
+    summary.Set("csv_cache_hits", JsonValue::MakeInt(registry.CounterValue(
+                                      "evocat_csv_cache_hits_total")));
+    summary.Set("csv_cache_misses", JsonValue::MakeInt(registry.CounterValue(
+                                        "evocat_csv_cache_misses_total")));
     int64_t fallbacks = 0;
     for (const metrics::FitnessMeasure& measure : metrics::FitnessMeasures()) {
       fallbacks += registry.CounterValue("evocat_rebuild_fallbacks_total",
                                          {{"measure", measure.key}});
     }
-    summary.Add("rebuild_fallbacks", fallbacks);
-    summary.Add("scheduler_steals",
-                registry.CounterValue("evocat_scheduler_steals_total"));
+    summary.Set("rebuild_fallbacks", JsonValue::MakeInt(fallbacks));
+    summary.Set("scheduler_steals", JsonValue::MakeInt(registry.CounterValue(
+                                        "evocat_scheduler_steals_total")));
   }
   Status status = bench::WriteJsonFile("BENCH_session.json", summary);
   if (!status.ok()) {

@@ -34,6 +34,7 @@
 #include "datagen/profile.h"
 
 using namespace evocat;
+using api::JsonValue;
 
 namespace {
 
@@ -106,14 +107,14 @@ bool RunPair(api::Session* session, const api::JobSpec& base,
   return true;
 }
 
-bench::JsonObject MeasuredJson(const Measured& m) {
-  bench::JsonObject json;
-  json.Add("job_seconds", m.job_seconds);
-  json.Add("evolve_seconds", m.evolve_seconds);
-  json.Add("generations", m.generations);
-  json.Add("generations_per_sec", m.generations_per_sec);
-  json.Add("evaluations", m.evaluations);
-  json.Add("best_score", m.best_score);
+JsonValue MeasuredJson(const Measured& m) {
+  JsonValue json = JsonValue::MakeObject();
+  json.Set("job_seconds", JsonValue::MakeNumber(m.job_seconds));
+  json.Set("evolve_seconds", JsonValue::MakeNumber(m.evolve_seconds));
+  json.Set("generations", JsonValue::MakeInt(m.generations));
+  json.Set("generations_per_sec", JsonValue::MakeNumber(m.generations_per_sec));
+  json.Set("evaluations", JsonValue::MakeInt(m.evaluations));
+  json.Set("best_score", JsonValue::MakeNumber(m.best_score));
   return json;
 }
 
@@ -150,10 +151,10 @@ int main(int argc, char** argv) {
   scenarios.push_back({"skewed", SkewedProfile(records)});
 
   api::Session session;
-  bench::JsonObject summary;
-  summary.Add("hardware_threads", static_cast<int64_t>(threads));
-  summary.Add("quick", static_cast<int64_t>(quick ? 1 : 0));
-  summary.Add("generations_budget", static_cast<int64_t>(generations));
+  JsonValue summary = JsonValue::MakeObject();
+  summary.Set("hardware_threads", JsonValue::MakeInt(threads));
+  summary.Set("quick", JsonValue::MakeInt(quick ? 1 : 0));
+  summary.Set("generations_budget", JsonValue::MakeInt(generations));
 
   std::printf("strategies bench: %d generations/island, %lld records, "
               "%d hardware threads\n",
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
     base.outputs.final_population = false;
     base.outputs.history = false;
 
-    bench::JsonObject scenario_json;
+    JsonValue scenario_json = JsonValue::MakeObject();
     double generational_gps = 0.0;
     double islands_gps = 0.0;
     std::printf("--- scenario: %s ---\n", scenario.name.c_str());
@@ -185,7 +186,7 @@ int main(int argc, char** argv) {
                   measured.generations_per_sec,
                   static_cast<long long>(measured.evaluations),
                   measured.best_score);
-      scenario_json.Add(run.label, MeasuredJson(measured));
+      scenario_json.Set(run.label, MeasuredJson(measured));
       if (run.label == "generational") {
         generational_gps = measured.generations_per_sec;
       }
@@ -193,13 +194,14 @@ int main(int argc, char** argv) {
     }
     double speedup =
         generational_gps > 0 ? islands_gps / generational_gps : 0.0;
-    scenario_json.Add("islands_speedup_vs_generational", speedup);
+    scenario_json.Set("islands_speedup_vs_generational",
+                      JsonValue::MakeNumber(speedup));
     std::printf("islands generations/sec speedup vs generational: %.2fx%s\n",
                 speedup,
                 threads < 4 ? "  (bounded by hardware threads; expect >=2x "
                               "with 4+ cores)"
                             : "");
-    summary.Add(scenario.name, scenario_json);
+    summary.Set(scenario.name, std::move(scenario_json));
   }
 
   Status status = bench::WriteJsonFile("BENCH_strategies.json", summary);

@@ -63,14 +63,13 @@ int main() {
       "measured_start,measured_end,measured_improve_pct\n");
 
   for (const auto& row : PaperRows()) {
-    auto dataset_case = experiments::CaseByName(row.dataset).ValueOrDie();
-    auto options = bench::BenchOptions(row.aggregation, /*generations=*/2000);
-    auto result = experiments::RunExperiment(dataset_case, options);
+    auto result = api::Session().Run(
+        bench::BenchSpec(row.dataset, row.aggregation, /*generations=*/2000));
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
       return 1;
     }
-    const auto& experiment = result.ValueOrDie();
+    const api::RunArtifacts& run = result.ValueOrDie();
     const char* aggregation =
         metrics::ScoreAggregationToString(row.aggregation);
     auto print_stat = [&](const char* stat, double paper_start,
@@ -81,12 +80,12 @@ int main() {
                   Improvement(paper_start, paper_end), measured_start,
                   measured_end, Improvement(measured_start, measured_end));
     };
-    print_stat("max", row.max_start, row.max_end,
-               experiment.initial_scores.max, experiment.final_scores.max);
-    print_stat("mean", row.mean_start, row.mean_end,
-               experiment.initial_scores.mean, experiment.final_scores.mean);
-    print_stat("min", row.min_start, row.min_end,
-               experiment.initial_scores.min, experiment.final_scores.min);
+    print_stat("max", row.max_start, row.max_end, run.initial_scores.max,
+               run.final_scores.max);
+    print_stat("mean", row.mean_start, row.mean_end, run.initial_scores.mean,
+               run.final_scores.mean);
+    print_stat("min", row.min_start, row.min_end, run.initial_scores.min,
+               run.final_scores.min);
   }
   std::printf("# shape checks: mean improves steadily in all rows; min barely "
               "moves; Eq.2 mean improvements exceed Eq.1's.\n");

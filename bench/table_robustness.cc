@@ -19,26 +19,23 @@ int main() {
   std::printf(
       "series,removed_pct,initial_min,final_min,gap_to_full_run,paper_gap\n");
 
-  auto dataset_case = experiments::CaseByName("flare").ValueOrDie();
-  constexpr int kGenerations = 2000;
-
   double full_min = 0.0;
   const double paper_gaps[] = {0.0, 1.33, 1.08};
   const double fractions[] = {0.0, 0.05, 0.10};
   for (int i = 0; i < 3; ++i) {
-    auto options =
-        bench::BenchOptions(metrics::ScoreAggregation::kMax, kGenerations);
-    options.remove_best_fraction = fractions[i];
-    auto result = experiments::RunExperiment(dataset_case, options);
+    api::JobSpec job = bench::BenchSpec(
+        "flare", metrics::ScoreAggregation::kMax, /*generations=*/2000);
+    job.remove_best_fraction = fractions[i];
+    auto result = api::Session().Run(job);
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
       return 1;
     }
-    const auto& experiment = result.ValueOrDie();
-    if (i == 0) full_min = experiment.final_scores.min;
+    const api::RunArtifacts& run = result.ValueOrDie();
+    if (i == 0) full_min = run.final_scores.min;
     std::printf("robustness,%.0f,%.2f,%.2f,%.2f,%.2f\n", fractions[i] * 100,
-                experiment.initial_scores.min, experiment.final_scores.min,
-                experiment.final_scores.min - full_min, paper_gaps[i]);
+                run.initial_scores.min, run.final_scores.min,
+                run.final_scores.min - full_min, paper_gaps[i]);
   }
   std::printf("# shape check: both reduced runs land within ~2 points of the "
               "full run's min (the GA recovers the removed elite).\n");

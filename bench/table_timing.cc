@@ -29,25 +29,22 @@ int main() {
 
   // Serial offspring evaluation so crossover's 2-evaluation cost is visible
   // in wall time exactly as in the paper's sequential implementation: the
-  // experiment runs as one task on a 1-worker scheduler, so every parallel
+  // job runs as one task on a 1-worker scheduler, so every parallel
   // loop inside it (crossover legs, measure fan-out, row shards) runs
   // serially on that worker.
-  auto dataset_case = experiments::CaseByName("flare").ValueOrDie();
-  auto options =
-      bench::BenchOptions(metrics::ScoreAggregation::kMax, /*generations=*/300);
-  Result<experiments::ExperimentResult> result(
-      Status::Internal("experiment not executed"));
-  RunOnScheduler(1, [&] {
-    result = experiments::RunExperiment(dataset_case, options);
-  });
+  api::JobSpec job =
+      bench::BenchSpec("flare", metrics::ScoreAggregation::kMax,
+                       /*generations=*/300);
+  Result<api::RunArtifacts> result(Status::Internal("job not executed"));
+  RunOnScheduler(1, [&] { result = api::Session().Run(job); });
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;
   }
-  const auto& experiment = result.ValueOrDie();
-  experiments::PrintTimingSummary(experiment, std::cout);
+  const api::RunArtifacts& run = result.ValueOrDie();
+  experiments::PrintTimingSummary(run, std::cout);
 
-  const auto& stats = experiment.stats;
+  const auto& stats = run.stats;
   auto avg = [](double total, int64_t count) {
     return count > 0 ? total / static_cast<double>(count) : 0.0;
   };

@@ -8,15 +8,16 @@
 // the best protection each one selects, plus the balance of the final
 // populations.
 //
-// Run:  ./build/examples/census_release
+// Run:  ./build/example_census_release
 
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
+#include "api/session.h"
 #include "common/logging.h"
 #include "experiments/report.h"
-#include "experiments/runner.h"
 
 using namespace evocat;
 
@@ -32,35 +33,41 @@ int Fail(const Status& status) {
 int main() {
   SetLogLevel(LogLevel::kWarning);
 
-  auto dataset_case = experiments::CaseByName("adult");
-  if (!dataset_case.ok()) return Fail(dataset_case.status());
-
-  std::printf("census release study: Adult-like extract, %d initial "
-              "protections\n\n",
-              dataset_case.ValueOrDie().population_spec.TotalCount());
-
+  // One job per score function; everything else, seeds included, is shared,
+  // so both evolve the same initial population.
+  std::vector<api::RunArtifacts> runs;
   for (auto aggregation :
        {metrics::ScoreAggregation::kMean, metrics::ScoreAggregation::kMax}) {
-    experiments::ExperimentOptions options;
-    options.aggregation = aggregation;
-    options.generations = 500;
-    options.ga_seed = 7;
-
-    auto result = experiments::RunExperiment(dataset_case.ValueOrDie(), options);
+    api::JobSpec spec;
+    spec.source.case_name = "adult";
+    spec.measures.aggregation = aggregation;
+    spec.ga.generations = 500;
+    spec.seeds.data = 0xDA7A;
+    spec.seeds.protection = 0x9A5C;
+    spec.seeds.ga = 7;
+    auto result = api::Session().Run(spec);
     if (!result.ok()) return Fail(result.status());
-    const auto& experiment = result.ValueOrDie();
+    runs.push_back(std::move(result).ValueOrDie());
+  }
 
-    const auto& best = experiment.final_population.front();
-    std::printf("score = %s\n",
-                metrics::ScoreAggregationToString(aggregation));
+  std::printf("census release study: Adult-like extract, %lld initial "
+              "protections\n\n",
+              static_cast<long long>(runs.front().population_size));
+
+  for (const api::RunArtifacts& run : runs) {
+    const api::MemberSummary& best = run.final_population.front();
+    const metrics::FitnessBreakdown& fitness = best.fitness;
+    std::printf("score = %s\n", metrics::ScoreAggregationToString(
+                                    run.spec.measures.aggregation));
     std::printf("  best protection: score=%.2f IL=%.2f DR=%.2f (|IL-DR|=%.2f)\n",
-                best.score, best.il, best.dr, std::fabs(best.il - best.dr));
+                fitness.score, fitness.il, fitness.dr,
+                std::fabs(fitness.il - fitness.dr));
     std::printf("  derived from: %s\n", best.origin.c_str());
     std::printf("  population balance |IL-DR|: initial %.2f -> final %.2f\n",
-                experiments::MeanImbalance(experiment.initial),
-                experiments::MeanImbalance(experiment.final_population));
-    std::printf("  mean score: %.2f -> %.2f\n\n",
-                experiment.initial_scores.mean, experiment.final_scores.mean);
+                experiments::MeanImbalance(run.initial),
+                experiments::MeanImbalance(run.final_population));
+    std::printf("  mean score: %.2f -> %.2f\n\n", run.initial_scores.mean,
+                run.final_scores.mean);
   }
 
   std::printf("takeaway: Eq.2 (max) accepts a slightly worse headline score "

@@ -8,7 +8,7 @@
 // shows how: configure the measure set, evolve with an early-stopping
 // engine, and watch progress through the generation callback.
 //
-// Run:  ./build/examples/credit_scoring
+// Run:  ./build/example_credit_scoring
 
 #include <cstdio>
 #include <iostream>

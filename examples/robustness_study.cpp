@@ -6,24 +6,18 @@
 // rather than merely picking the best seed. This example reproduces that
 // study and reports the gaps.
 //
-// Run:  ./build/examples/robustness_study
+// Run:  ./build/example_robustness_study
 
 #include <cstdio>
 #include <iostream>
 
+#include "api/session.h"
 #include "common/logging.h"
-#include "experiments/runner.h"
 
 using namespace evocat;
 
 int main() {
   SetLogLevel(LogLevel::kWarning);
-
-  auto dataset_case = experiments::CaseByName("flare");
-  if (!dataset_case.ok()) {
-    std::cerr << dataset_case.status().ToString() << "\n";
-    return 1;
-  }
 
   std::printf("robustness study: Flare-like dataset, Eq.2 (max) fitness\n\n");
   std::printf("%-22s %12s %12s %12s\n", "population", "initial min",
@@ -31,24 +25,29 @@ int main() {
 
   double full_min = 0.0;
   for (double fraction : {0.0, 0.05, 0.10}) {
-    experiments::ExperimentOptions options;
-    options.aggregation = metrics::ScoreAggregation::kMax;
-    options.generations = 1200;
-    options.remove_best_fraction = fraction;
-    auto result = experiments::RunExperiment(dataset_case.ValueOrDie(), options);
+    api::JobSpec spec;
+    spec.source.case_name = "flare";
+    spec.measures.aggregation = metrics::ScoreAggregation::kMax;
+    spec.ga.generations = 1200;
+    spec.remove_best_fraction = fraction;
+    // Fixed stage seeds: every run starts from the same seed protections.
+    spec.seeds.data = 0xDA7A;
+    spec.seeds.protection = 0x9A5C;
+    spec.seeds.ga = 42;
+    auto result = api::Session().Run(spec);
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
       return 1;
     }
-    const auto& experiment = result.ValueOrDie();
-    if (fraction == 0.0) full_min = experiment.final_scores.min;
+    const api::RunArtifacts& run = result.ValueOrDie();
+    if (fraction == 0.0) full_min = run.final_scores.min;
 
     char label[64];
     std::snprintf(label, sizeof(label), "best %.0f%% removed", fraction * 100);
     std::printf("%-22s %12.2f %12.2f %12.2f\n",
                 fraction == 0.0 ? "full population" : label,
-                experiment.initial_scores.min, experiment.final_scores.min,
-                experiment.final_scores.min - full_min);
+                run.initial_scores.min, run.final_scores.min,
+                run.final_scores.min - full_min);
   }
 
   std::printf("\npaper gaps: 1.33 (5%% removed), 1.08 (10%% removed) — the "

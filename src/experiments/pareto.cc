@@ -5,12 +5,14 @@
 namespace evocat {
 namespace experiments {
 
-bool Dominates(const IndividualSummary& a, const IndividualSummary& b) {
-  return a.il <= b.il && a.dr <= b.dr && (a.il < b.il || a.dr < b.dr);
+bool Dominates(const api::MemberSummary& a, const api::MemberSummary& b) {
+  const metrics::FitnessBreakdown& x = a.fitness;
+  const metrics::FitnessBreakdown& y = b.fitness;
+  return x.il <= y.il && x.dr <= y.dr && (x.il < y.il || x.dr < y.dr);
 }
 
 std::vector<size_t> ParetoFrontIndices(
-    const std::vector<IndividualSummary>& members) {
+    const std::vector<api::MemberSummary>& members) {
   std::vector<size_t> front;
   for (size_t i = 0; i < members.size(); ++i) {
     bool dominated = false;
@@ -23,20 +25,25 @@ std::vector<size_t> ParetoFrontIndices(
     if (!dominated) front.push_back(i);
   }
   std::sort(front.begin(), front.end(), [&](size_t a, size_t b) {
-    if (members[a].il != members[b].il) return members[a].il < members[b].il;
-    return members[a].dr < members[b].dr;
+    const metrics::FitnessBreakdown& x = members[a].fitness;
+    const metrics::FitnessBreakdown& y = members[b].fitness;
+    if (x.il != y.il) return x.il < y.il;
+    return x.dr < y.dr;
   });
   // Duplicate (IL, DR) points add no hypervolume and clutter the front.
   front.erase(std::unique(front.begin(), front.end(),
                           [&](size_t a, size_t b) {
-                            return members[a].il == members[b].il &&
-                                   members[a].dr == members[b].dr;
+                            const metrics::FitnessBreakdown& x =
+                                members[a].fitness;
+                            const metrics::FitnessBreakdown& y =
+                                members[b].fitness;
+                            return x.il == y.il && x.dr == y.dr;
                           }),
               front.end());
   return front;
 }
 
-double DominatedHypervolume(const std::vector<IndividualSummary>& members,
+double DominatedHypervolume(const std::vector<api::MemberSummary>& members,
                             double ref_il, double ref_dr) {
   if (ref_il <= 0.0 || ref_dr <= 0.0) return 0.0;
   auto front = ParetoFrontIndices(members);
@@ -45,7 +52,7 @@ double DominatedHypervolume(const std::vector<IndividualSummary>& members,
   double hypervolume = 0.0;
   double prev_dr = ref_dr;
   for (size_t idx : front) {
-    const auto& p = members[idx];
+    const metrics::FitnessBreakdown& p = members[idx].fitness;
     if (p.il >= ref_il || p.dr >= prev_dr) continue;
     hypervolume += (ref_il - p.il) * (prev_dr - std::max(p.dr, 0.0));
     prev_dr = std::max(p.dr, 0.0);
@@ -54,7 +61,7 @@ double DominatedHypervolume(const std::vector<IndividualSummary>& members,
   return hypervolume / (ref_il * ref_dr);
 }
 
-ParetoStats AnalyzePareto(const std::vector<IndividualSummary>& members) {
+ParetoStats AnalyzePareto(const std::vector<api::MemberSummary>& members) {
   ParetoStats stats;
   auto front = ParetoFrontIndices(members);
   stats.front.reserve(front.size());

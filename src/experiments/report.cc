@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 
 #include "core/engine.h"
@@ -9,27 +10,27 @@
 namespace evocat {
 namespace experiments {
 
-void PrintDispersionCsv(const ExperimentResult& result, std::ostream& out) {
+void PrintDispersionCsv(const api::RunArtifacts& run, std::ostream& out) {
   out << "series,phase,index,il,dr,score,origin\n";
   auto print_phase = [&](const char* phase,
-                         const std::vector<IndividualSummary>& members) {
+                         const std::vector<api::MemberSummary>& members) {
     for (size_t i = 0; i < members.size(); ++i) {
       const auto& m = members[i];
       out << "dispersion," << phase << ',' << i << ',' << std::fixed
-          << std::setprecision(3) << m.il << ',' << m.dr << ',' << m.score
-          << ',' << m.origin << '\n';
+          << std::setprecision(3) << m.fitness.il << ',' << m.fitness.dr
+          << ',' << m.fitness.score << ',' << m.origin << '\n';
     }
   };
-  print_phase("initial", result.initial);
-  print_phase("final", result.final_population);
+  print_phase("initial", run.initial);
+  print_phase("final", run.final_population);
 }
 
-void PrintEvolutionCsv(const ExperimentResult& result, std::ostream& out) {
+void PrintEvolutionCsv(const api::RunArtifacts& run, std::ostream& out) {
   out << "series,generation,min_score,mean_score,max_score,operator\n";
   out << "evolution,0," << std::fixed << std::setprecision(3)
-      << result.initial_scores.min << ',' << result.initial_scores.mean << ','
-      << result.initial_scores.max << ",initial\n";
-  for (const auto& record : result.history) {
+      << run.initial_scores.min << ',' << run.initial_scores.mean << ','
+      << run.initial_scores.max << ",initial\n";
+  for (const auto& record : run.history) {
     out << "evolution," << record.generation << ',' << std::fixed
         << std::setprecision(3) << record.min_score << ',' << record.mean_score
         << ',' << record.max_score << ','
@@ -37,31 +38,31 @@ void PrintEvolutionCsv(const ExperimentResult& result, std::ostream& out) {
   }
 }
 
-void PrintImprovementSummary(const ExperimentResult& result, std::ostream& out) {
+void PrintImprovementSummary(const api::RunArtifacts& run, std::ostream& out) {
   auto line = [&](const char* stat, double start, double end) {
     out << "  " << stat << " score: " << std::fixed << std::setprecision(2)
         << start << " -> " << end;
-    double improvement = ExperimentResult::ImprovementPercent(start, end);
+    double improvement = ImprovementPercent(start, end);
     if (std::isnan(improvement)) {
       out << "  (improvement n/a: non-positive start score)\n";
     } else {
       out << "  (" << improvement << "% improvement)\n";
     }
   };
-  out << "[" << result.dataset << "] aggregation="
-      << metrics::ScoreAggregationToString(result.options.aggregation)
-      << " generations=" << result.history.size()
-      << " population=" << result.final_population.size() << "\n";
-  line("max ", result.initial_scores.max, result.final_scores.max);
-  line("mean", result.initial_scores.mean, result.final_scores.mean);
-  line("min ", result.initial_scores.min, result.final_scores.min);
+  out << "[" << run.dataset << "] aggregation="
+      << metrics::ScoreAggregationToString(run.spec.measures.aggregation)
+      << " generations=" << run.history.size()
+      << " population=" << run.final_population.size() << "\n";
+  line("max ", run.initial_scores.max, run.final_scores.max);
+  line("mean", run.initial_scores.mean, run.final_scores.mean);
+  line("min ", run.initial_scores.min, run.final_scores.min);
   out << "  balance |IL-DR|: initial " << std::fixed << std::setprecision(2)
-      << MeanImbalance(result.initial) << " -> final "
-      << MeanImbalance(result.final_population) << "\n";
+      << MeanImbalance(run.initial) << " -> final "
+      << MeanImbalance(run.final_population) << "\n";
 }
 
-void PrintTimingSummary(const ExperimentResult& result, std::ostream& out) {
-  const auto& stats = result.stats;
+void PrintTimingSummary(const api::RunArtifacts& run, std::ostream& out) {
+  const auto& stats = run.stats;
   auto avg = [](double total, int64_t count) {
     return count > 0 ? total / static_cast<double>(count) : 0.0;
   };
@@ -84,11 +85,16 @@ void PrintTimingSummary(const ExperimentResult& result, std::ostream& out) {
       << (cross_total > 0 ? cross_eval / cross_total : 0.0) << '\n';
 }
 
-double MeanImbalance(const std::vector<IndividualSummary>& members) {
+double MeanImbalance(const std::vector<api::MemberSummary>& members) {
   if (members.empty()) return 0.0;
   double total = 0.0;
-  for (const auto& m : members) total += std::fabs(m.il - m.dr);
+  for (const auto& m : members) total += std::fabs(m.fitness.il - m.fitness.dr);
   return total / static_cast<double>(members.size());
+}
+
+double ImprovementPercent(double start, double end) {
+  if (start <= 0.0) return std::numeric_limits<double>::quiet_NaN();
+  return 100.0 * (start - end) / start;
 }
 
 }  // namespace experiments

@@ -72,7 +72,7 @@ void Frame(std::ostringstream& out, const Axis& x, const Axis& y,
 
 }  // namespace
 
-std::string RenderDispersionSvg(const ExperimentResult& result,
+std::string RenderDispersionSvg(const api::RunArtifacts& run,
                                 const std::string& title) {
   std::ostringstream out;
   Header(out, title);
@@ -80,9 +80,9 @@ std::string RenderDispersionSvg(const ExperimentResult& result,
   Axis axis;  // shared square axis so the IL = DR diagonal is meaningful
   axis.min = 0.0;
   axis.max = 1.0;
-  for (const auto* population : {&result.initial, &result.final_population}) {
+  for (const auto* population : {&run.initial, &run.final_population}) {
     for (const auto& m : *population) {
-      axis.max = std::max({axis.max, m.il, m.dr});
+      axis.max = std::max({axis.max, m.fitness.il, m.fitness.dr});
     }
   }
   axis.max = std::ceil(axis.max / 10.0) * 10.0;
@@ -95,16 +95,16 @@ std::string RenderDispersionSvg(const ExperimentResult& result,
       axis.ToPixelX(axis.min), axis.ToPixelY(axis.min), axis.ToPixelX(axis.max),
       axis.ToPixelY(axis.max));
 
-  for (const auto& m : result.initial) {
+  for (const auto& m : run.initial) {
     out << StrFormat(
         "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"4\" fill=\"none\" "
         "stroke=\"#1f77b4\" stroke-width=\"1.2\"/>\n",
-        axis.ToPixelX(m.il), axis.ToPixelY(m.dr));
+        axis.ToPixelX(m.fitness.il), axis.ToPixelY(m.fitness.dr));
   }
-  for (const auto& m : result.final_population) {
+  for (const auto& m : run.final_population) {
     out << StrFormat(
         "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"3\" fill=\"#d62728\"/>\n",
-        axis.ToPixelX(m.il), axis.ToPixelY(m.dr));
+        axis.ToPixelX(m.fitness.il), axis.ToPixelY(m.fitness.dr));
   }
 
   // Legend.
@@ -120,23 +120,23 @@ std::string RenderDispersionSvg(const ExperimentResult& result,
   return out.str();
 }
 
-std::string RenderEvolutionSvg(const ExperimentResult& result,
+std::string RenderEvolutionSvg(const api::RunArtifacts& run,
                                const std::string& title) {
   std::ostringstream out;
   Header(out, title);
 
   Axis x, y;
   x.min = 0.0;
-  x.max = std::max<size_t>(1, result.history.size());
+  x.max = std::max<size_t>(1, run.history.size());
   y.min = 1e100;
   y.max = -1e100;
   auto widen = [&](double v) {
     y.min = std::min(y.min, v);
     y.max = std::max(y.max, v);
   };
-  widen(result.initial_scores.min);
-  widen(result.initial_scores.max);
-  for (const auto& record : result.history) {
+  widen(run.initial_scores.min);
+  widen(run.initial_scores.max);
+  for (const auto& record : run.history) {
     widen(record.min_score);
     widen(record.max_score);
   }
@@ -154,20 +154,20 @@ std::string RenderEvolutionSvg(const ExperimentResult& result,
   const Series series[] = {
       {"#2ca02c", "min",
        [](const core::GenerationRecord& r) { return r.min_score; },
-       result.initial_scores.min},
+       run.initial_scores.min},
       {"#1f77b4", "mean",
        [](const core::GenerationRecord& r) { return r.mean_score; },
-       result.initial_scores.mean},
+       run.initial_scores.mean},
       {"#d62728", "max",
        [](const core::GenerationRecord& r) { return r.max_score; },
-       result.initial_scores.max},
+       run.initial_scores.max},
   };
   int legend_y = 44;
   for (const auto& s : series) {
     out << "<polyline fill=\"none\" stroke=\"" << s.color
         << "\" stroke-width=\"1.5\" points=\"";
     out << StrFormat("%.1f,%.1f ", x.ToPixelX(0), y.ToPixelY(s.initial));
-    for (const auto& record : result.history) {
+    for (const auto& record : run.history) {
       out << StrFormat("%.1f,%.1f ", x.ToPixelX(record.generation),
                        y.ToPixelY(s.value(record)));
     }
@@ -181,13 +181,13 @@ std::string RenderEvolutionSvg(const ExperimentResult& result,
   return out.str();
 }
 
-Status WriteFigureSvgs(const ExperimentResult& result, const std::string& title,
+Status WriteFigureSvgs(const api::RunArtifacts& run, const std::string& title,
                        const std::string& directory, const std::string& stem) {
   for (const auto& [suffix, content] :
        {std::pair<std::string, std::string>{
-            "_dispersion.svg", RenderDispersionSvg(result, title)},
+            "_dispersion.svg", RenderDispersionSvg(run, title)},
         std::pair<std::string, std::string>{
-            "_evolution.svg", RenderEvolutionSvg(result, title)}}) {
+            "_evolution.svg", RenderEvolutionSvg(run, title)}}) {
     std::string path = directory + "/" + stem + suffix;
     std::ofstream out(path);
     if (!out) return Status::IOError("cannot open '", path, "' for writing");

@@ -414,12 +414,6 @@ Result<HttpRequest> ReadHttpRequest(int fd, const HttpReadLimits& limits,
   return request;
 }
 
-Result<HttpRequest> ReadHttpRequest(int fd, size_t max_body_bytes) {
-  HttpReadLimits limits;
-  limits.max_body_bytes = max_body_bytes;
-  return ReadHttpRequest(fd, limits, nullptr);
-}
-
 Status WriteHttpResponse(int fd, const HttpResponse& response) {
   return SendAll(fd, SerializeHttpResponse(response));
 }

@@ -108,9 +108,6 @@ struct HttpReadLimits {
 Result<HttpRequest> ReadHttpRequest(int fd, const HttpReadLimits& limits,
                                     int* http_status);
 
-/// \brief Compatibility overload: default limits with `max_body_bytes`.
-Result<HttpRequest> ReadHttpRequest(int fd, size_t max_body_bytes);
-
 /// \brief Writes the serialized response; IOError on a broken connection.
 Status WriteHttpResponse(int fd, const HttpResponse& response);
 

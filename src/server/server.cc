@@ -302,17 +302,11 @@ void Server::ServeConnection(int conn) {
   ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &write_deadline,
                sizeof(write_deadline));
 
-  HttpReadLimits limits;
-  limits.max_header_bytes = options_.max_header_bytes;
-  limits.max_body_bytes = options_.max_body_bytes;
-  limits.idle_timeout_ms = options_.idle_timeout_ms;
-  limits.header_timeout_ms = options_.header_timeout_ms;
-  limits.body_timeout_ms = options_.body_timeout_ms;
-
   int served = 0;
   while (!stop_.load(std::memory_order_relaxed)) {
     int error_status = 0;
-    Result<HttpRequest> request = ReadHttpRequest(conn, limits, &error_status);
+    Result<HttpRequest> request =
+        ReadHttpRequest(conn, options_.read_limits, &error_status);
     if (!request.ok()) {
       // 400/408/413/431/501: tell the client what went wrong, then close.
       // 0 means the peer is gone or idled out — nothing to answer.

@@ -50,17 +50,9 @@ class Server {
     int port = 8080;
     /// When non-empty, serve on this Unix-domain socket instead of TCP.
     std::string unix_socket;
-    /// 413 for request bodies beyond this.
-    size_t max_body_bytes = 8 * 1024 * 1024;
-    /// 431 for request-line + header blocks beyond this.
-    size_t max_header_bytes = 64 * 1024;
-    /// Keep-alive idle window: the connection closes when no new request
-    /// starts within this many milliseconds.
-    int idle_timeout_ms = 30000;
-    /// Slow-loris guard: a started request's head/body must arrive within
-    /// these windows or the connection is answered 408 and closed.
-    int header_timeout_ms = 10000;
-    int body_timeout_ms = 30000;
+    /// Byte bounds (413/431), the keep-alive idle window and the
+    /// slow-loris deadlines (408) for every request read.
+    HttpReadLimits read_limits;
     /// Requests served per connection before an orderly close (bounds how
     /// long one client can monopolize an I/O thread).
     int max_requests_per_connection = 1000;

@@ -1,5 +1,6 @@
 #include "api/session.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -9,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "data/csv.h"
+#include "datagen/profile.h"
 #include "obs/metrics.h"
+#include "protection/population_builder.h"
 
 namespace evocat {
 namespace api {
@@ -42,6 +45,51 @@ std::string TinyJobJson(uint64_t master_seed, const std::string& name) {
     "ga": {"generations": 12},
     "seeds": {"master": )" + std::to_string(master_seed) + R"(}
   })";
+}
+
+/// The paper's four cases and the seed mix (population table) of each.
+struct PaperCase {
+  const char* name;
+  protection::PopulationSpec population;
+  size_t seeds;
+};
+
+std::vector<PaperCase> PaperCases() {
+  return {{"housing", protection::HousingPopulationSpec(), 110},
+          {"german", protection::GermanFlarePopulationSpec(), 104},
+          {"flare", protection::GermanFlarePopulationSpec(), 104},
+          {"adult", protection::AdultPopulationSpec(), 86}};
+}
+
+/// Bit-for-bit equality of everything a run computes (telemetry aside).
+void ExpectSameRun(const RunArtifacts& a, const RunArtifacts& b) {
+  EXPECT_EQ(a.dataset, b.dataset);
+  EXPECT_EQ(a.num_rows, b.num_rows);
+  EXPECT_EQ(a.protected_attrs, b.protected_attrs);
+  EXPECT_EQ(a.population_size, b.population_size);
+  auto same_members = [](const std::vector<MemberSummary>& x,
+                         const std::vector<MemberSummary>& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].origin, y[i].origin) << i;
+      EXPECT_EQ(x[i].fitness.il, y[i].fitness.il) << i;
+      EXPECT_EQ(x[i].fitness.dr, y[i].fitness.dr) << i;
+      EXPECT_EQ(x[i].fitness.score, y[i].fitness.score) << i;
+    }
+  };
+  same_members(a.initial, b.initial);
+  same_members(a.final_population, b.final_population);
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (size_t g = 0; g < a.history.size(); ++g) {
+    EXPECT_EQ(a.history[g].op, b.history[g].op) << g;
+    EXPECT_EQ(a.history[g].accepted, b.history[g].accepted) << g;
+    EXPECT_EQ(a.history[g].min_score, b.history[g].min_score) << g;
+    EXPECT_EQ(a.history[g].mean_score, b.history[g].mean_score) << g;
+    EXPECT_EQ(a.history[g].max_score, b.history[g].max_score) << g;
+  }
+  EXPECT_EQ(a.best.origin, b.best.origin);
+  EXPECT_TRUE(a.best_data.SameCodes(b.best_data));
+  EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
 /// Engine generations run in this process so far, over both `op` series.
@@ -284,16 +332,106 @@ TEST(SessionTest, RunControlCancelsBeforeAndDuringExecution) {
   EXPECT_TRUE(session.Run(spec).ok());
 }
 
-TEST(SessionTest, DefaultRosterMatchesPaperMix) {
-  // No methods -> the paper's mix for the source; "german" seeds 104 files.
-  JobSpec spec;
-  spec.source.kind = SourceSpec::Kind::kSynthetic;
-  spec.source.case_name = "german";
-  std::vector<MethodGridSpec> roster =
-      RosterFromPopulationSpec(protection::GermanFlarePopulationSpec());
-  size_t total = 0;
-  for (const auto& method : roster) total += ExpandGrid(method).size();
-  EXPECT_EQ(total, 104u);
+TEST(SessionTest, PaperCasesResolve) {
+  // Each named case loads its profile with 3 protected attributes and
+  // defaults to the paper's seed mix for it.
+  Session session;
+  for (const PaperCase& paper_case : PaperCases()) {
+    JobSpec spec;
+    spec.source.case_name = paper_case.name;
+    ASSERT_TRUE(spec.Validate().ok()) << paper_case.name;
+    Session::SourceData source = session.LoadSource(spec).ValueOrDie();
+    EXPECT_EQ(source.label, paper_case.name);
+    EXPECT_EQ(source.attrs.size(), 3u) << paper_case.name;
+    EXPECT_EQ(source.default_spec.TotalCount(),
+              static_cast<int>(paper_case.seeds))
+        << paper_case.name;
+    size_t roster = 0;
+    for (const auto& method : RosterFromPopulationSpec(paper_case.population)) {
+      roster += ExpandGrid(method).size();
+    }
+    EXPECT_EQ(roster, paper_case.seeds) << paper_case.name;
+  }
+
+  JobSpec unknown;
+  unknown.source.case_name = "nonexistent";
+  Status invalid = unknown.Validate();
+  ASSERT_FALSE(invalid.ok());
+  EXPECT_NE(invalid.message().find("source.case"), std::string::npos)
+      << invalid.ToString();
+  EXPECT_FALSE(session.Run(unknown).ok());
+}
+
+TEST(SessionTest, NamedCaseEqualsItsInlineProfileAndRoster) {
+  // A named case is exactly its profile plus the paper's seed mix: the same
+  // job with the profile inline and the roster spelled out runs bit for bit
+  // the same. This pins the default roster to the population table.
+  Session session;
+  for (const PaperCase& paper_case : PaperCases()) {
+    JobSpec named;
+    named.source.case_name = paper_case.name;
+    // Two cheap measures keep the eight seed binds fast; the roster and the
+    // data are what is compared.
+    named.measures.enabled = {"CTBIL", "ID"};
+    named.ga.generations = 10;
+    JobSpec spelled = named;
+    spelled.source.has_inline_profile = true;
+    spelled.source.profile =
+        datagen::ProfileByName(paper_case.name).ValueOrDie();
+    spelled.methods = RosterFromPopulationSpec(paper_case.population);
+    SCOPED_TRACE(paper_case.name);
+    RunArtifacts from_name = session.Run(named).ValueOrDie();
+    EXPECT_EQ(from_name.population_size,
+              static_cast<int64_t>(paper_case.seeds));
+    ExpectSameRun(from_name, session.Run(spelled).ValueOrDie());
+  }
+}
+
+TEST(SessionTest, RemoveBestFractionShrinksPopulation) {
+  // 40% of the 5 seeds: the 2 best are removed before evolution, and the
+  // rest start in the same order with the same scores.
+  JobSpec spec = JobSpec::FromJsonText(TinyJobJson(17, "removal")).ValueOrDie();
+  Session session;
+  RunArtifacts full = session.Run(spec).ValueOrDie();
+  spec.remove_best_fraction = 0.4;
+  RunArtifacts reduced = session.Run(spec).ValueOrDie();
+  EXPECT_EQ(reduced.population_size, 3);
+  ASSERT_EQ(reduced.initial.size(), full.initial.size() - 2);
+  for (size_t i = 0; i < reduced.initial.size(); ++i) {
+    EXPECT_EQ(reduced.initial[i].origin, full.initial[i + 2].origin);
+    EXPECT_EQ(reduced.initial[i].fitness.score,
+              full.initial[i + 2].fitness.score);
+  }
+  EXPECT_GE(reduced.initial_scores.min, full.initial_scores.min);
+}
+
+TEST(SessionTest, RejectsBadRemoveFraction) {
+  JobSpec spec = JobSpec::FromJsonText(TinyJobJson(19, "bad")).ValueOrDie();
+  Session session;
+  for (double fraction : {1.0, -0.1}) {
+    spec.remove_best_fraction = fraction;
+    auto result = session.Run(spec);
+    ASSERT_FALSE(result.ok()) << fraction;
+    EXPECT_NE(result.status().message().find("remove_best_fraction"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
+TEST(SessionTest, AggregationReachesBreakdown) {
+  JobSpec spec = JobSpec::FromJsonText(TinyJobJson(23, "mean")).ValueOrDie();
+  Session session;
+  RunArtifacts mean_run = session.Run(spec).ValueOrDie();
+  for (const auto& member : mean_run.initial) {
+    EXPECT_NEAR(member.fitness.score,
+                (member.fitness.il + member.fitness.dr) / 2.0, 1e-9);
+  }
+  spec.measures.aggregation = metrics::ScoreAggregation::kMax;
+  RunArtifacts max_run = session.Run(spec).ValueOrDie();
+  for (const auto& member : max_run.initial) {
+    EXPECT_NEAR(member.fitness.score,
+                std::max(member.fitness.il, member.fitness.dr), 1e-9);
+  }
 }
 
 }  // namespace

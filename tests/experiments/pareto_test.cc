@@ -6,12 +6,12 @@ namespace evocat {
 namespace experiments {
 namespace {
 
-IndividualSummary P(double il, double dr) {
-  IndividualSummary summary;
+api::MemberSummary P(double il, double dr) {
+  api::MemberSummary summary;
   summary.origin = "p";
-  summary.il = il;
-  summary.dr = dr;
-  summary.score = (il + dr) / 2.0;
+  summary.fitness.il = il;
+  summary.fitness.dr = dr;
+  summary.fitness.score = (il + dr) / 2.0;
   return summary;
 }
 
@@ -25,13 +25,13 @@ TEST(DominatesTest, StrictAndNonStrictCases) {
 }
 
 TEST(ParetoFrontTest, ExtractsNonDominatedSortedByIl) {
-  std::vector<IndividualSummary> members = {
+  std::vector<api::MemberSummary> members = {
       P(30, 10), P(10, 30), P(20, 20), P(25, 25), P(40, 40)};
   auto front = ParetoFrontIndices(members);
   ASSERT_EQ(front.size(), 3u);
-  EXPECT_DOUBLE_EQ(members[front[0]].il, 10);  // (10,30)
-  EXPECT_DOUBLE_EQ(members[front[1]].il, 20);  // (20,20)
-  EXPECT_DOUBLE_EQ(members[front[2]].il, 30);  // (30,10)
+  EXPECT_DOUBLE_EQ(members[front[0]].fitness.il, 10);  // (10,30)
+  EXPECT_DOUBLE_EQ(members[front[1]].fitness.il, 20);  // (20,20)
+  EXPECT_DOUBLE_EQ(members[front[2]].fitness.il, 30);  // (30,10)
 }
 
 TEST(ParetoFrontTest, SinglePointAndEmpty) {
@@ -41,7 +41,7 @@ TEST(ParetoFrontTest, SinglePointAndEmpty) {
 }
 
 TEST(ParetoFrontTest, DuplicatesCollapse) {
-  std::vector<IndividualSummary> members = {P(10, 10), P(10, 10), P(5, 20)};
+  std::vector<api::MemberSummary> members = {P(10, 10), P(10, 10), P(5, 20)};
   auto front = ParetoFrontIndices(members);
   EXPECT_EQ(front.size(), 2u);  // one copy of (10,10) plus (5,20)
 }
@@ -83,7 +83,7 @@ TEST(HypervolumeTest, MonotoneUnderImprovement) {
 }
 
 TEST(AnalyzeParetoTest, AggregatesConsistently) {
-  std::vector<IndividualSummary> members = {P(30, 10), P(10, 30), P(20, 20),
+  std::vector<api::MemberSummary> members = {P(30, 10), P(10, 30), P(20, 20),
                                             P(25, 25), P(40, 40)};
   auto stats = AnalyzePareto(members);
   EXPECT_EQ(stats.front.size(), 3u);
@@ -92,8 +92,8 @@ TEST(AnalyzeParetoTest, AggregatesConsistently) {
   EXPECT_LT(stats.hypervolume, 1.0);
   // Front is sorted ascending in IL and descending in DR.
   for (size_t i = 1; i < stats.front.size(); ++i) {
-    EXPECT_LT(stats.front[i - 1].il, stats.front[i].il);
-    EXPECT_GT(stats.front[i - 1].dr, stats.front[i].dr);
+    EXPECT_LT(stats.front[i - 1].fitness.il, stats.front[i].fitness.il);
+    EXPECT_GT(stats.front[i - 1].fitness.dr, stats.front[i].fitness.dr);
   }
 }
 

@@ -8,27 +8,38 @@ namespace evocat {
 namespace experiments {
 namespace {
 
-ExperimentResult FakeResult() {
-  ExperimentResult result;
-  result.dataset = "fake";
-  result.initial = {{"seed_a", 10.0, 60.0, 35.0}, {"seed_b", 40.0, 20.0, 30.0}};
-  result.final_population = {{"child", 22.0, 24.0, 24.0},
-                             {"seed_b", 40.0, 20.0, 30.0}};
-  result.initial_scores = {30.0, 32.5, 35.0};
-  result.final_scores = {24.0, 27.0, 30.0};
+api::MemberSummary Member(const char* origin, double il, double dr,
+                          double score) {
+  api::MemberSummary member;
+  member.origin = origin;
+  member.fitness.il = il;
+  member.fitness.dr = dr;
+  member.fitness.score = score;
+  return member;
+}
+
+api::RunArtifacts FakeRun() {
+  api::RunArtifacts run;
+  run.dataset = "fake";
+  run.initial = {Member("seed_a", 10.0, 60.0, 35.0),
+                 Member("seed_b", 40.0, 20.0, 30.0)};
+  run.final_population = {Member("child", 22.0, 24.0, 24.0),
+                          Member("seed_b", 40.0, 20.0, 30.0)};
+  run.initial_scores = {30.0, 32.5, 35.0};
+  run.final_scores = {24.0, 27.0, 30.0};
   for (int g = 1; g <= 5; ++g) {
     core::GenerationRecord record;
     record.generation = g;
     record.min_score = 30.0 - g;
     record.mean_score = 32.0 - g;
     record.max_score = 35.0 - g;
-    result.history.push_back(record);
+    run.history.push_back(record);
   }
-  return result;
+  return run;
 }
 
 TEST(SvgPlotTest, DispersionContainsAllPoints) {
-  auto svg = RenderDispersionSvg(FakeResult(), "Dispersion");
+  auto svg = RenderDispersionSvg(FakeRun(), "Dispersion");
   EXPECT_NE(svg.find("<svg"), std::string::npos);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
   // 2 hollow initial circles + 2 filled final circles + 2 legend markers.
@@ -43,7 +54,7 @@ TEST(SvgPlotTest, DispersionContainsAllPoints) {
 }
 
 TEST(SvgPlotTest, EvolutionHasThreeSeries) {
-  auto svg = RenderEvolutionSvg(FakeResult(), "Evolution");
+  auto svg = RenderEvolutionSvg(FakeRun(), "Evolution");
   size_t polylines = 0;
   for (size_t pos = svg.find("<polyline"); pos != std::string::npos;
        pos = svg.find("<polyline", pos + 1)) {
@@ -56,16 +67,16 @@ TEST(SvgPlotTest, EvolutionHasThreeSeries) {
 }
 
 TEST(SvgPlotTest, EvolutionHandlesEmptyHistory) {
-  ExperimentResult result = FakeResult();
-  result.history.clear();
-  auto svg = RenderEvolutionSvg(result, "Empty");
+  api::RunArtifacts run = FakeRun();
+  run.history.clear();
+  auto svg = RenderEvolutionSvg(run, "Empty");
   EXPECT_NE(svg.find("<svg"), std::string::npos);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
 }
 
 TEST(SvgPlotTest, WriteFigureSvgsCreatesBothFiles) {
   std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(WriteFigureSvgs(FakeResult(), "T", dir, "svg_test").ok());
+  ASSERT_TRUE(WriteFigureSvgs(FakeRun(), "T", dir, "svg_test").ok());
   for (const char* suffix : {"_dispersion.svg", "_evolution.svg"}) {
     std::ifstream in(dir + "/svg_test" + suffix);
     ASSERT_TRUE(in.good()) << suffix;
@@ -77,7 +88,7 @@ TEST(SvgPlotTest, WriteFigureSvgsCreatesBothFiles) {
 
 TEST(SvgPlotTest, WriteFigureSvgsFailsOnBadDirectory) {
   EXPECT_FALSE(
-      WriteFigureSvgs(FakeResult(), "T", "/nonexistent/dir", "x").ok());
+      WriteFigureSvgs(FakeRun(), "T", "/nonexistent/dir", "x").ok());
 }
 
 }  // namespace

@@ -8,42 +8,57 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
+#include "datagen/profile.h"
 #include "experiments/report.h"
-#include "experiments/runner.h"
+#include "protection/population_builder.h"
 
 namespace evocat {
 namespace experiments {
 namespace {
 
-// Flare-like but 200 records for speed; keeps the paper's protected
-// cardinalities (8/7/5) which drive the balance behaviour.
-DatasetCase SmallFlare() {
-  DatasetCase dataset_case = FlareCase();
-  dataset_case.profile.num_records = 200;
-  return dataset_case;
+// A paper case's profile and seed mix at 200 records for speed, with fixed
+// stage seeds. The profile is inline, so the roster is spelled out.
+api::JobSpec SmallCase(const datagen::SyntheticProfile& profile,
+                       const protection::PopulationSpec& population,
+                       metrics::ScoreAggregation aggregation, int generations) {
+  api::JobSpec spec;
+  spec.source.has_inline_profile = true;
+  spec.source.profile = profile;
+  spec.source.profile.num_records = 200;
+  spec.methods = api::RosterFromPopulationSpec(population);
+  spec.measures.aggregation = aggregation;
+  spec.measures.prl_em_iterations = 30;
+  spec.ga.generations = generations;
+  spec.seeds.data = 0xDA7A;
+  spec.seeds.protection = 0x9A5C;
+  spec.seeds.ga = 42;
+  return spec;
 }
 
-DatasetCase SmallAdult() {
-  DatasetCase dataset_case = AdultCase();
-  dataset_case.profile.num_records = 200;
-  return dataset_case;
+// Flare-like; keeps the paper's protected cardinalities (8/7/5) which drive
+// the balance behaviour.
+api::JobSpec SmallFlare(metrics::ScoreAggregation aggregation,
+                        int generations) {
+  return SmallCase(datagen::SolarFlareProfile(),
+                   protection::GermanFlarePopulationSpec(), aggregation,
+                   generations);
 }
 
-ExperimentOptions Options(metrics::ScoreAggregation aggregation,
-                          int generations) {
-  ExperimentOptions options;
-  options.aggregation = aggregation;
-  options.generations = generations;
-  options.fitness.prl_em_iterations = 30;
-  return options;
+api::JobSpec SmallAdult(metrics::ScoreAggregation aggregation,
+                        int generations) {
+  return SmallCase(datagen::AdultProfile(), protection::AdultPopulationSpec(),
+                   aggregation, generations);
+}
+
+api::RunArtifacts RunJob(const api::JobSpec& spec) {
+  return api::Session().Run(spec).ValueOrDie();
 }
 
 TEST(PaperPipelineTest, PopulationNeverDegradesAndImproves) {
   // Paper §3.1: the GA optimizes most protections; min/mean must not rise,
   // mean must measurably fall.
-  auto result = RunExperiment(SmallAdult(),
-                              Options(metrics::ScoreAggregation::kMean, 250))
-                    .ValueOrDie();
+  auto result = RunJob(SmallAdult(metrics::ScoreAggregation::kMean, 250));
   EXPECT_LE(result.final_scores.min, result.initial_scores.min + 1e-9);
   EXPECT_LT(result.final_scores.mean, result.initial_scores.mean);
   EXPECT_LE(result.final_scores.max, result.initial_scores.max + 1e-9);
@@ -52,12 +67,8 @@ TEST(PaperPipelineTest, PopulationNeverDegradesAndImproves) {
 TEST(PaperPipelineTest, MaxScoreBalancesBetterThanMean) {
   // Paper §3.2's headline: the final population under Eq. 2 is concentrated
   // around IL == DR compared to Eq. 1.
-  auto mean_run = RunExperiment(SmallAdult(),
-                                Options(metrics::ScoreAggregation::kMean, 400))
-                      .ValueOrDie();
-  auto max_run = RunExperiment(SmallAdult(),
-                               Options(metrics::ScoreAggregation::kMax, 400))
-                     .ValueOrDie();
+  auto mean_run = RunJob(SmallAdult(metrics::ScoreAggregation::kMean, 400));
+  auto max_run = RunJob(SmallAdult(metrics::ScoreAggregation::kMax, 400));
   double mean_imbalance = MeanImbalance(mean_run.final_population);
   double max_imbalance = MeanImbalance(max_run.final_population);
   // Both improve on the initial cloud, but Eq.2 must not be worse than Eq.1
@@ -69,9 +80,7 @@ TEST(PaperPipelineTest, MaxScoreBalancesBetterThanMean) {
 TEST(PaperPipelineTest, MinScoreBarelyMoves) {
   // Paper: "the improvement [of the min score] is very small" — enforce
   // that the min does not improve more than the mean does, in points.
-  auto result = RunExperiment(SmallFlare(),
-                              Options(metrics::ScoreAggregation::kMax, 300))
-                    .ValueOrDie();
+  auto result = RunJob(SmallFlare(metrics::ScoreAggregation::kMax, 300));
   double min_gain = result.initial_scores.min - result.final_scores.min;
   double mean_gain = result.initial_scores.mean - result.final_scores.mean;
   EXPECT_GE(min_gain, 0.0);
@@ -81,12 +90,10 @@ TEST(PaperPipelineTest, MinScoreBarelyMoves) {
 TEST(PaperPipelineTest, RobustnessRecoversRemovedElite) {
   // Paper §3.3: removing the best 10% of seeds still lands within a few
   // points of the full run's final min.
-  auto full = RunExperiment(SmallFlare(),
-                            Options(metrics::ScoreAggregation::kMax, 400))
-                  .ValueOrDie();
-  auto options = Options(metrics::ScoreAggregation::kMax, 400);
-  options.remove_best_fraction = 0.10;
-  auto reduced = RunExperiment(SmallFlare(), options).ValueOrDie();
+  auto full = RunJob(SmallFlare(metrics::ScoreAggregation::kMax, 400));
+  auto spec = SmallFlare(metrics::ScoreAggregation::kMax, 400);
+  spec.remove_best_fraction = 0.10;
+  auto reduced = RunJob(spec);
 
   // The handicapped start is strictly worse...
   EXPECT_GT(reduced.initial_scores.min, full.initial_scores.min);
@@ -98,9 +105,7 @@ TEST(PaperPipelineTest, RobustnessRecoversRemovedElite) {
 }
 
 TEST(PaperPipelineTest, EvolutionHistoryMatchesFinalPopulation) {
-  auto result = RunExperiment(SmallAdult(),
-                              Options(metrics::ScoreAggregation::kMax, 100))
-                    .ValueOrDie();
+  auto result = RunJob(SmallAdult(metrics::ScoreAggregation::kMax, 100));
   ASSERT_FALSE(result.history.empty());
   const auto& last = result.history.back();
   EXPECT_NEAR(last.min_score, result.final_scores.min, 1e-9);
@@ -108,8 +113,8 @@ TEST(PaperPipelineTest, EvolutionHistoryMatchesFinalPopulation) {
   EXPECT_NEAR(last.max_score, result.final_scores.max, 1e-9);
   // Final population is sorted ascending.
   for (size_t i = 1; i < result.final_population.size(); ++i) {
-    EXPECT_LE(result.final_population[i - 1].score,
-              result.final_population[i].score);
+    EXPECT_LE(result.final_population[i - 1].fitness.score,
+              result.final_population[i].fitness.score);
   }
 }
 
@@ -117,9 +122,7 @@ TEST(PaperPipelineTest, TimingStatsShapeMatchesPaper) {
   // Fitness evaluation dominates generation time, and crossover generations
   // cost more than mutation generations on average (two offspring vs one,
   // serial engine).
-  auto options = Options(metrics::ScoreAggregation::kMax, 200);
-  auto dataset_case = SmallFlare();
-  auto result = RunExperiment(dataset_case, options).ValueOrDie();
+  auto result = RunJob(SmallFlare(metrics::ScoreAggregation::kMax, 200));
   const auto& stats = result.stats;
   ASSERT_GT(stats.mutation_generations, 0);
   ASSERT_GT(stats.crossover_generations, 0);
@@ -131,16 +134,16 @@ TEST(PaperPipelineTest, TimingStatsShapeMatchesPaper) {
 }
 
 TEST(PaperPipelineTest, SeedsReproduceRuns) {
-  auto options = Options(metrics::ScoreAggregation::kMax, 120);
-  auto a = RunExperiment(SmallFlare(), options).ValueOrDie();
-  auto b = RunExperiment(SmallFlare(), options).ValueOrDie();
+  auto spec = SmallFlare(metrics::ScoreAggregation::kMax, 120);
+  auto a = RunJob(spec);
+  auto b = RunJob(spec);
   ASSERT_EQ(a.history.size(), b.history.size());
   for (size_t i = 0; i < a.history.size(); i += 10) {
     EXPECT_DOUBLE_EQ(a.history[i].mean_score, b.history[i].mean_score);
   }
   // Different GA seed diverges.
-  options.ga_seed = 777;
-  auto c = RunExperiment(SmallFlare(), options).ValueOrDie();
+  spec.seeds.ga = 777;
+  auto c = RunJob(spec);
   bool diverged = false;
   for (size_t i = 0; i < a.history.size(); ++i) {
     if (std::fabs(a.history[i].mean_score - c.history[i].mean_score) > 1e-12) {
@@ -155,9 +158,7 @@ TEST(PaperPipelineTest, OffspringEnterThePopulation) {
   // After a few hundred generations some survivors must be GA offspring
   // (origin tagged mutation<...> or cross<...>), demonstrating the GA found
   // protections no classical method produced.
-  auto result = RunExperiment(SmallAdult(),
-                              Options(metrics::ScoreAggregation::kMax, 400))
-                    .ValueOrDie();
+  auto result = RunJob(SmallAdult(metrics::ScoreAggregation::kMax, 400));
   int offspring = 0;
   for (const auto& member : result.final_population) {
     if (member.origin.rfind("mutation<", 0) == 0 ||

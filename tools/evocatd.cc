@@ -212,13 +212,14 @@ int main(int argc, char** argv) {
   server_options.host = host;
   server_options.port = static_cast<int>(port);
   server_options.unix_socket = socket_path;
-  server_options.max_body_bytes =
+  server::HttpReadLimits& limits = server_options.read_limits;
+  limits.max_body_bytes =
       static_cast<size_t>(max_body_mb < 1 ? 1 : max_body_mb) * 1024 * 1024;
-  server_options.max_header_bytes =
+  limits.max_header_bytes =
       static_cast<size_t>(max_header_kb < 1 ? 1 : max_header_kb) * 1024;
-  server_options.idle_timeout_ms = static_cast<int>(idle_timeout_ms);
-  server_options.header_timeout_ms = static_cast<int>(header_timeout_ms);
-  server_options.body_timeout_ms = static_cast<int>(body_timeout_ms);
+  limits.idle_timeout_ms = static_cast<int>(idle_timeout_ms);
+  limits.header_timeout_ms = static_cast<int>(header_timeout_ms);
+  limits.body_timeout_ms = static_cast<int>(body_timeout_ms);
   server_options.retry_after_seconds = static_cast<int>(retry_after_seconds);
   server_options.auth_token = auth_token;
   server::Server server(&jobs, &session, server_options);
